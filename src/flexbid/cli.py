@@ -7,7 +7,9 @@ error is reported with its file and line number and exits with the usage
 code.
 
 Exit codes: 0 solved/verified, 2 infeasible, 3 unbounded, 4 backend
-failure, 5 verification found a violation, 64 bad usage or config.
+failure, 5 verification found a violation, 6 the solver's point breaks its
+own rows or bounds by more than the feasibility tolerance (reported with
+``certified: false``), 64 bad usage or config.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ EXIT_INFEASIBLE = 2
 EXIT_UNBOUNDED = 3
 EXIT_BACKEND = 4
 EXIT_VERIFY = 5
+EXIT_UNCERTIFIED = 6
 EXIT_USAGE = 64
 
 _STATUS_EXIT = {
@@ -45,6 +48,13 @@ _STATUS_EXIT = {
     solvers.UNBOUNDED: EXIT_UNBOUNDED,
     solvers.FAILED: EXIT_BACKEND,
 }
+
+
+def _exit_code(status: str, certified: bool | None) -> int:
+    if status == solvers.OPTIMAL and certified is False:
+        return EXIT_UNCERTIFIED
+    return _STATUS_EXIT.get(status, EXIT_USAGE)
+
 
 _DURATION_UNITS = {"s": 1, "min": 60, "h": 3600, "d": 86400}
 _DURATION_RE = re.compile(r"^(\d+)\s*([a-z]+)?$")
@@ -358,6 +368,8 @@ def _print_solution(payload: dict, as_json: bool) -> None:
         print(f"objective {payload['objective']:.6f}")
         print(f"required_ramp_kw_per_s {payload['required_ramp_kw_per_s']:.6f}")
         stats = payload["stats"]
+        if not stats["certified"]:
+            print(f"certified false max_violation {stats['max_violation']:.3e}")
         print(f"solver {stats.get('backend')} iterations {stats.get('iterations')} "
               f"wall_s {stats.get('wall_time', 0.0):.2f}")
 
@@ -374,7 +386,7 @@ def cmd_solve(args) -> int:
         save_policy(args.save_policy, sol.policy,
                     meta={"source_config": os.path.basename(args.config)})
         log.info("policy written to %s", args.save_policy)
-    return _STATUS_EXIT[sol.status]
+    return _exit_code(sol.status, sol.stats.get("certified"))
 
 
 def cmd_export(args) -> int:
@@ -430,6 +442,7 @@ def _suite_entry(entry) -> dict:
         out["objective"] = sol.objective
         out["required_ramp_kw_per_s"] = robust_lp.required_ramp(sol)
         out["wall_s"] = sol.stats.get("wall_time", 0.0)
+        out["certified"] = sol.stats["certified"]
     return out
 
 
@@ -475,15 +488,12 @@ def cmd_suite(args) -> int:
             if r["status"] == solvers.OPTIMAL:
                 print(f"{r['name']:<{width}}  status {r['status']}  "
                       f"gamma_kw {r['gamma_kw']:.6f}  "
-                      f"required_ramp_kw_per_s {r['required_ramp_kw_per_s']:.6f}")
+                      f"required_ramp_kw_per_s {r['required_ramp_kw_per_s']:.6f}"
+                      + ("" if r["certified"] else "  certified false"))
             else:
                 print(f"{r['name']:<{width}}  status {r['status']}"
                       + (f"  error {r['error']}" if "error" in r else ""))
-    worst = EXIT_OK
-    for r in ordered:
-        code = _STATUS_EXIT.get(r["status"], EXIT_USAGE)
-        worst = max(worst, code)
-    return worst
+    return max(_exit_code(r["status"], r.get("certified")) for r in ordered)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,16 +1,19 @@
 """MPS export of assembled programs, plus a small reader for round trips.
 
-The writer emits whitespace-delimited MPS with deterministic names
-(rows ``R0000001``.. in assembly order, columns ``C0000001``.., objective
-row ``COST``).  Values carry 12 significant digits.  MPS has no maximize
-convention, so programs are written in minimize form with the objective
-negated; a comment near the top records this.  Free variables get ``FR``
-bound lines; the MPS defaults (lower 0, upper +inf) cover reserve capacity
-and the epigraph auxiliaries, so those need no entry.
+Programs are in the canonical form ``A x <= rhs``, ``lo <= x <= hi``, so
+every row is an ``L`` row.  The writer emits whitespace-delimited MPS with
+deterministic names (rows ``R0000001``.. in assembly order, columns
+``C0000001``.., objective row ``COST``).  Values carry 12 significant
+digits.  MPS has no maximize convention, so programs are written in
+minimize form with the objective negated; a comment near the top records
+this.  Free variables get ``FR`` bound lines; the MPS defaults (lower 0,
+upper +inf) cover reserve capacity and the epigraph auxiliaries, so those
+need no entry.
 
 The reader understands exactly the subset the writer produces (sections
-NAME, ROWS, COLUMNS, RHS, BOUNDS with FR/MI/UP/LO/BV/PL markers) and
-returns a minimize-form problem.
+NAME, ROWS with ``N`` and ``L`` rows, COLUMNS, RHS, BOUNDS with
+FR/MI/UP/LO/BV/PL markers) and returns a minimize-form problem; ``G`` and
+``E`` rows and RANGES are rejected.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def write_mps(target, path: str, name: str = "FLEXBID") -> None:
         w("ROWS\n")
         w(" N COST\n")
         for i in range(n_rows):
-            w(f" {data.sense[i]} {_row_name(i)}\n")
+            w(f" L {_row_name(i)}\n")
         w("COLUMNS\n")
         for j in range(n_vars):
             cname = _col_name(j)
@@ -95,7 +98,6 @@ def read_mps(path: str) -> solvers.LpData:
     """Parse a file written by :func:`write_mps` into minimize form."""
     section = None
     obj_row = None
-    row_sense: dict[str, str] = {}
     row_order: list[str] = []
     col_order: list[str] = []
     col_index: dict[str, int] = {}
@@ -117,14 +119,13 @@ def read_mps(path: str) -> solvers.LpData:
                 continue
             parts = line.split()
             if section == "ROWS":
-                sense, rname = parts[0], parts[1]
-                if sense == "N":
+                rtype, rname = parts[0], parts[1]
+                if rtype == "N":
                     if obj_row is None:
                         obj_row = rname
                     continue
-                if sense not in ("L", "G", "E"):
-                    raise ValueError(f"unsupported row sense {sense!r}")
-                row_sense[rname] = sense
+                if rtype != "L":
+                    raise ValueError(f"unsupported row type {rtype!r}: only L rows are read")
                 row_order.append(rname)
             elif section == "COLUMNS":
                 cname = parts[0]
@@ -160,7 +161,6 @@ def read_mps(path: str) -> solvers.LpData:
     c = np.zeros(n_vars)
     for j, value in obj_coef.items():
         c[j] = value
-    sense = np.array([row_sense[r] for r in row_order], dtype="<U1")
     rhs = np.array([rhs_map.get(r, 0.0) for r in row_order])
     lo = np.zeros(n_vars)
     hi = np.full(n_vars, np.inf)
@@ -180,4 +180,4 @@ def read_mps(path: str) -> solvers.LpData:
             lo[j], hi[j] = 0.0, 1.0
         else:
             raise ValueError(f"unsupported bound type {btype!r}")
-    return solvers.LpData(c=c, A=A, sense=sense, rhs=rhs, lo=lo, hi=hi)
+    return solvers.LpData(c=c, A=A, rhs=rhs, lo=lo, hi=hi)

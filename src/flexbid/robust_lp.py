@@ -9,6 +9,9 @@ w_tilde-coefficient row A with the per-entry bound |A| @ 1, linearized as
 
     lambda_i >= +A_i,   lambda_i >= -A_i,   sum_i lambda_i <= slack.
 
+Every row, including these epigraph rows and the lower row of each
+family, is stored as ``A x <= rhs``: ``>=`` rows are written negated.
+
 Families (one upper and/or lower row each):
 
   power  breakpoint s = 0..N_S: worst-case reference +/- gamma within the
@@ -27,7 +30,11 @@ Families (one upper and/or lower row each):
          each envelope splits into a zero branch ("a" rows) and an affine
          branch ("b" rows), each robustified like the state family with
          the T_S/2-weighted breakpoint terms folded into the same
-         per-interval absolute-value blocks.
+         per-interval absolute-value blocks;
+  slope  segment s = 1..N_S, ramp refinement only: the worst-case reference
+         step |diff Theta|1 + |diff theta| <= t, with t a new column that
+         the refinement minimizes; no activation carry-over.  One
+         ``objective.floor`` row keeps the first-stage objective.
 
 Blocks whose policy part is structurally zero need no auxiliary: the
 absolute term plus its eps slack collapses to c*gamma*T*K exactly.
@@ -39,6 +46,7 @@ start breakpoint (zero-order hold) instead of interpolating to the end one.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass, field
 
@@ -66,6 +74,7 @@ _ROW_KINDS = (
     "slope.hi", "slope.lo", "objective.floor",
 )
 _KIND_CODE = {name: code for code, name in enumerate(_ROW_KINDS)}
+_UPPER_KINDS = [code for name, code in _KIND_CODE.items() if name.endswith(".hi")]
 
 
 @dataclass
@@ -179,16 +188,18 @@ class VariableLayout:
 
 
 class _Accumulator:
-    """Batched COO builder with per-row metadata."""
+    """Batched COO builder of ``A x <= rhs`` rows with per-row metadata.
 
-    def __init__(self, n_policy: int):
-        self.n_vars = n_policy
-        self.var_lo = [np.full(n_policy, -np.inf)]
-        self.var_hi = [np.full(n_policy, np.inf)]
+    Columns start with the given bounds; :meth:`add_vars` appends more.
+    """
+
+    def __init__(self, var_lo: np.ndarray, var_hi: np.ndarray):
+        self.n_vars = len(var_lo)
+        self.var_lo = [np.asarray(var_lo, dtype=float)]
+        self.var_hi = [np.asarray(var_hi, dtype=float)]
         self.rows: list[np.ndarray] = []
         self.cols: list[np.ndarray] = []
         self.data: list[np.ndarray] = []
-        self.sense: list[np.ndarray] = []
         self.rhs: list[np.ndarray] = []
         self.kind: list[np.ndarray] = []
         self.meta1: list[np.ndarray] = []
@@ -202,14 +213,13 @@ class _Accumulator:
         self.var_hi.append(np.full(count, hi))
         return first
 
-    def add_rows(self, local_rows, cols, data, sense, rhs, kind, meta1, meta2) -> int:
+    def add_rows(self, local_rows, cols, data, rhs, kind, meta1, meta2) -> int:
         """Append a batch of rows; ``local_rows`` is 0-based within the batch."""
         first = self.n_rows
         n = len(rhs)
         self.rows.append(np.asarray(local_rows, dtype=np.int64) + first)
         self.cols.append(np.asarray(cols, dtype=np.int64))
         self.data.append(np.asarray(data, dtype=float))
-        self.sense.append(np.asarray(sense, dtype="<U1"))
         self.rhs.append(np.asarray(rhs, dtype=float))
         self.kind.append(np.asarray(kind, dtype=np.int16))
         self.meta1.append(np.asarray(meta1, dtype=np.int32))
@@ -217,13 +227,41 @@ class _Accumulator:
         self.n_rows += n
         return first
 
+    def finish(self) -> dict:
+        """CSR matrix (explicit zeros dropped), rhs, bounds and row tags.
+
+        Upper rows (``*.hi``) come first, then the others, each group in the
+        order it was added.  The rows are the same in any order, but HiGHS's
+        dual simplex runs about a third slower per iteration on the day-long
+        intra-day studies when the epigraph and lower rows sit between the
+        upper ones.
+        """
+        def cat(parts, dtype):
+            return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+        kind = cat(self.kind, np.int16)
+        order = np.argsort(~np.isin(kind, _UPPER_KINDS), kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        A = sp.csr_matrix(
+            (cat(self.data, float), (position[cat(self.rows, np.int64)], cat(self.cols, np.int64))),
+            shape=(self.n_rows, self.n_vars),
+        )
+        A.eliminate_zeros()
+        return dict(
+            A=A, rhs=cat(self.rhs, float)[order],
+            var_lo=np.concatenate(self.var_lo), var_hi=np.concatenate(self.var_hi),
+            row_kind=kind[order],
+            row_meta1=cat(self.meta1, np.int32)[order], row_meta2=cat(self.meta2, np.int32)[order],
+        )
+
 
 @dataclass
 class RobustProgram:
-    """Assembled sparse LP plus enough context to decode and audit it."""
+    """Assembled sparse LP ``A x <= rhs``, ``var_lo <= x <= var_hi``, plus
+    enough context to decode and audit it."""
 
     A: sp.csr_matrix
-    sense: np.ndarray
     rhs: np.ndarray
     var_lo: np.ndarray
     var_hi: np.ndarray
@@ -288,24 +326,16 @@ class RobustProgram:
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest constraint/bound residual of a primal point (0 if feasible)."""
-        r = self.A @ x
-        viol = 0.0
-        is_l = self.sense == "L"
-        is_g = self.sense == "G"
-        if is_l.any():
-            viol = max(viol, float(np.max(r[is_l] - self.rhs[is_l], initial=0.0)))
-        if is_g.any():
-            viol = max(viol, float(np.max(self.rhs[is_g] - r[is_g], initial=0.0)))
-        viol = max(viol, float(np.max(self.var_lo - x, initial=0.0)))
-        viol = max(viol, float(np.max(x - self.var_hi, initial=0.0)))
-        return viol
+        return max(
+            float(np.max(self.A @ x - self.rhs, initial=0.0)),
+            float(np.max(self.var_lo - x, initial=0.0)),
+            float(np.max(x - self.var_hi, initial=0.0)),
+        )
 
     def as_lp_data(self) -> solvers.LpData:
         """Minimization payload for a backend (objective negated)."""
-        return solvers.LpData(
-            c=-self.obj, A=self.A, sense=self.sense, rhs=self.rhs,
-            lo=self.var_lo, hi=self.var_hi,
-        )
+        return solvers.LpData(c=-self.obj, A=self.A, rhs=self.rhs,
+                              lo=self.var_lo, hi=self.var_hi)
 
 
 @dataclass
@@ -373,6 +403,7 @@ def _emit_family(
     eps: float,
     e_hat: float,
     c_t: float,
+    dg_col: int | None = None,
 ) -> None:
     """Emit epigraph blocks and the upper/lower rows of one family.
 
@@ -380,10 +411,14 @@ def _emit_family(
     1-based member index per row (tagging only), ``krow[r]`` the number of
     activation carry-over terms entering row r, ``c_t`` the product
     c * T_S (hours).  Infinite ``rhs`` entries suppress that direction.
+    ``dg_up``/``dg_lo`` multiply column ``dg_col`` (gamma unless given).
+    Every row is written as ``row <= rhs``: lower rows and epigraph rows
+    come out negated.
     """
     n_fam = W.shape[0]
     n_q = layout.n_q
     gamma_col = layout.gamma
+    dg_col = gamma_col if dg_col is None else dg_col
 
     finite_up = np.isfinite(rhs_up)
     finite_lo = np.isfinite(rhs_lo)
@@ -425,7 +460,7 @@ def _emit_family(
     gcoef = c_t * e_hat * kval
 
     if n_blocks:
-        # epigraph pair per block: lam -+ (C + gcoef*gamma) >= 0
+        # epigraph pair per block: -lam +- (C + gcoef*gamma) <= 0
         erows = np.concatenate([
             2 * ent_block, 2 * ent_block + 1,                  # policy terms
             2 * np.arange(n_blocks), 2 * np.arange(n_blocks) + 1,  # lambda
@@ -437,9 +472,9 @@ def _emit_family(
             np.full(n_blocks, gamma_col), np.full(n_blocks, gamma_col),
         ])
         edata = np.concatenate([
-            -ent_val, ent_val,
-            np.ones(n_blocks), np.ones(n_blocks),
-            -gcoef, gcoef,
+            ent_val, -ent_val,
+            -np.ones(n_blocks), -np.ones(n_blocks),
+            gcoef, -gcoef,
         ])
         n_epi = 2 * n_blocks
         epi_kind = np.empty(n_epi, dtype=np.int16)
@@ -447,8 +482,7 @@ def _emit_family(
         epi_kind[1::2] = _KIND_CODE["epi.neg"]
         epi_m1 = np.repeat(members[block_r], 2)
         epi_m2 = np.repeat(block_i + 1, 2)
-        acc.add_rows(erows, ecols, edata, np.full(n_epi, "G"), np.zeros(n_epi),
-                     epi_kind, epi_m1, epi_m2)
+        acc.add_rows(erows, ecols, edata, np.zeros(n_epi), epi_kind, epi_m1, epi_m2)
 
     # per-row sums of carry-over weights, split into policy-active blocks
     # (kept as lambdas plus eps slack) and policy-free ones (folded: the
@@ -465,6 +499,7 @@ def _emit_family(
     q_rows = (W @ theta_coef).tocoo()
 
     def emit_direction(upper: bool) -> None:
+        # sum(lam) + sgn*(q terms) + abs_gamma*gamma + sgn*dg*dg_col <= sgn*(rhs - const)
         mask = finite_up if upper else finite_lo
         if not mask.any():
             return
@@ -477,20 +512,19 @@ def _emit_family(
             bkeep = mask[block_r]
             parts_r.append(row_of[block_r[bkeep]])
             parts_c.append(lam0 + np.flatnonzero(bkeep))
-            parts_d.append(np.full(int(bkeep.sum()), sgn))
+            parts_d.append(np.ones(int(bkeep.sum())))
         qkeep = mask[q_rows.row]
         parts_r.append(row_of[q_rows.row[qkeep]])
         parts_c.append(q_rows.col[qkeep])
-        parts_d.append(q_rows.data[qkeep])
-        gvals = sgn * abs_gamma[idx] + (dg_up[idx] if upper else dg_lo[idx])
-        parts_r.append(row_of[idx])
-        parts_c.append(np.full(idx.size, gamma_col))
-        parts_d.append(gvals)
-        rhs = (rhs_up[idx] - const_up[idx]) if upper else (rhs_lo[idx] - const_lo[idx])
+        parts_d.append(sgn * q_rows.data[qkeep])
+        # gamma and dg_col entries; the CSR conversion sums them when they coincide
+        parts_r += [row_of[idx], row_of[idx]]
+        parts_c += [np.full(idx.size, gamma_col), np.full(idx.size, dg_col)]
+        parts_d += [abs_gamma[idx], sgn * (dg_up[idx] if upper else dg_lo[idx])]
+        rhs = (rhs_up[idx] - const_up[idx]) if upper else (const_lo[idx] - rhs_lo[idx])
         kind = _KIND_CODE[f"{name}.hi" if upper else f"{name}.lo"]
         acc.add_rows(
-            np.concatenate(parts_r), np.concatenate(parts_c), np.concatenate(parts_d),
-            np.full(idx.size, "L" if upper else "G"), rhs,
+            np.concatenate(parts_r), np.concatenate(parts_c), np.concatenate(parts_d), rhs,
             np.full(idx.size, kind, dtype=np.int16), members[idx], np.full(idx.size, -1),
         )
 
@@ -535,15 +569,24 @@ def assemble(
         n_da=counts.N_DA,
         n_id=counts.N_ID,
     )
-    acc = _Accumulator(layout.n_policy)
-    acc.var_lo[0][layout.gamma] = 0.0
+    var_lo = np.full(layout.n_policy, -np.inf)
+    var_lo[layout.gamma] = 0.0
+    acc = _Accumulator(var_lo, np.full(layout.n_policy, np.inf))
 
-    TH = _theta_symbol(layout, mats, n_s)
-    theta_coef = sp.hstack([
+    # Q-entry symbol, reference map of the q vectors and the breakpoint
+    # step operator; the ramp refinement reuses all three
+    TH = mats["TH"] = _theta_symbol(layout, mats, n_s)
+    theta_coef = mats["theta_coef"] = sp.hstack([
         sp.csr_matrix((n_s + 1, layout.n_q)),
         mats["RM"], mats["R"],
         sp.csr_matrix((n_s + 1, 1)),
     ]).tocsr()
+    diff = mats["diff"] = sp.csr_matrix(
+        (np.concatenate([np.ones(n_s), -np.ones(n_s)]),
+         (np.concatenate([np.arange(n_s), np.arange(n_s)]),
+          np.concatenate([np.arange(1, n_s + 1), np.arange(n_s)]))),
+        shape=(n_s, n_s + 1),
+    )
 
     dd = discretize_scales(params, ts, n_s)
     t_s_h = ts.T_S / SECONDS_PER_HOUR
@@ -571,12 +614,6 @@ def assemble(
     )
 
     # ramp: reference step plus activation swing within r * T_S
-    diff = sp.csr_matrix(
-        (np.concatenate([np.ones(n_s), -np.ones(n_s)]),
-         (np.concatenate([np.arange(n_s), np.arange(n_s)]),
-          np.concatenate([np.arange(1, n_s + 1), np.arange(n_s)]))),
-        shape=(n_s, n_s + 1),
-    )
     swing = 2.0 * ts.T_S / ts.T_C
     _emit_family(
         acc, name="ramp", W=diff,
@@ -650,30 +687,13 @@ def assemble(
             k_idx, j_idx = layout.qid_entries[:, 0], layout.qid_entries[:, 1]
             obj[layout.n_qda:layout.n_q] = -prices.c_ID[k_idx] * aid_mu[j_idx]
 
-    A = sp.csr_matrix(
-        (np.concatenate(acc.data) if acc.data else np.empty(0),
-         (np.concatenate(acc.rows) if acc.rows else np.empty(0, dtype=np.int64),
-          np.concatenate(acc.cols) if acc.cols else np.empty(0, dtype=np.int64))),
-        shape=(acc.n_rows, acc.n_vars),
-    )
-    A.eliminate_zeros()
-    mats["TH"] = TH
     prog = RobustProgram(
-        A=A,
-        sense=np.concatenate(acc.sense) if acc.sense else np.empty(0, dtype="<U1"),
-        rhs=np.concatenate(acc.rhs) if acc.rhs else np.empty(0),
-        var_lo=np.concatenate(acc.var_lo),
-        var_hi=np.concatenate(acc.var_hi),
-        obj=obj,
-        layout=layout,
-        row_kind=np.concatenate(acc.kind) if acc.kind else np.empty(0, dtype=np.int16),
-        row_meta1=np.concatenate(acc.meta1) if acc.meta1 else np.empty(0, dtype=np.int32),
-        row_meta2=np.concatenate(acc.meta2) if acc.meta2 else np.empty(0, dtype=np.int32),
+        **acc.finish(), obj=obj, layout=layout,
         ts=ts, counts=counts, params=params, structure=structure,
         objective=objective, matrices=mats, dd=dd,
     )
     log.info("assembled robust LP: %d rows, %d columns, %d nonzeros",
-             prog.n_rows, prog.n_vars, A.nnz)
+             prog.n_rows, prog.n_vars, prog.A.nnz)
     return prog
 
 
@@ -699,110 +719,45 @@ def required_ramp(sol: Solution, ts: Timescales | None = None) -> float:
     return slope + 2.0 * sol.policy.gamma / ts.T_C
 
 
-def _min_slope_extension(prog: RobustProgram, objective_floor: float):
+def _slope_program(prog: RobustProgram, objective_floor: float) -> tuple[RobustProgram, int]:
     """Secondary-stage LP: keep the objective, minimize the worst reference step.
 
-    Returns (A, sense, rhs, lo, hi, obj2, t_col): the original rows plus
-    slope epigraph machinery and an objective floor.
+    The first-stage rows plus the ``slope`` family (|step of segment s| <= t,
+    no activation carry-over) and one ``objective.floor`` row.  Returns the
+    program, which maximizes -t, and the column of t.
     """
     n_s = prog.counts.N_S
-    layout = prog.layout
-    n_q = layout.n_q
-    n0 = prog.n_vars
-    TH = prog.matrices["TH"]
-
-    diff = sp.csr_matrix(
-        (np.concatenate([np.ones(n_s), -np.ones(n_s)]),
-         (np.concatenate([np.arange(n_s), np.arange(n_s)]),
-          np.concatenate([np.arange(1, n_s + 1), np.arange(n_s)]))),
-        shape=(n_s, n_s + 1),
+    m = prog.matrices
+    acc = _Accumulator(prog.var_lo, prog.var_hi)
+    t_col = acc.add_vars(1)
+    zeros_s = np.zeros(n_s)
+    _emit_family(
+        acc, name="slope", W=m["diff"],
+        members=np.arange(1, n_s + 1), krow=np.zeros(n_s, dtype=np.int64),
+        rhs_up=zeros_s, rhs_lo=zeros_s, const_up=zeros_s, const_lo=zeros_s,
+        dg_up=np.full(n_s, -1.0), dg_lo=np.ones(n_s), dg_col=t_col,
+        TH=m["TH"], theta_coef=m["theta_coef"], layout=prog.layout,
+        f=1.0, eps=0.0, e_hat=0.0, c_t=0.0,
     )
-    theta_coef = sp.hstack([
-        sp.csr_matrix((n_s + 1, layout.n_q)),
-        prog.matrices["RM"], prog.matrices["R"],
-        sp.csr_matrix((n_s + 1, 1)),
-    ]).tocsr()
-    d_theta = (diff @ theta_coef).tocoo()
-
-    rows, cols, data, sense, rhs = [], [], [], [], []
-    n_rows0 = prog.n_rows
-    next_row = n_rows0
-
-    if n_q:
-        C = (diff @ TH).tocoo()
-        key = C.row.astype(np.int64) * n_s + (C.col // n_q)
-        order = np.argsort(key, kind="stable")
-        ent_r, ent_v, ent_val, key = C.row[order], (C.col % n_q)[order], C.data[order], key[order]
-        block_key, block_first = np.unique(key, return_index=True)
-        ent_block = np.searchsorted(block_key, key)
-        block_r = ent_r[block_first]
-        n_blocks = block_key.size
-    else:
-        ent_r = ent_v = ent_val = ent_block = np.empty(0, dtype=np.int64)
-        block_r = np.empty(0, dtype=np.int64)
-        n_blocks = 0
-
-    lam0 = n0
-    t_col = n0 + n_blocks
-    n_vars = n0 + n_blocks + 1
-
-    if n_blocks:
-        rows.append(next_row + 2 * ent_block)
-        cols.append(ent_v)
-        data.append(-ent_val)
-        rows.append(next_row + 2 * ent_block + 1)
-        cols.append(ent_v)
-        data.append(ent_val)
-        pair = np.arange(n_blocks)
-        for off in (0, 1):
-            rows.append(next_row + 2 * pair + off)
-            cols.append(lam0 + pair)
-            data.append(np.ones(n_blocks))
-        sense.append(np.full(2 * n_blocks, "G"))
-        rhs.append(np.zeros(2 * n_blocks))
-        next_row += 2 * n_blocks
-
-    # slope rows: sum(lam) +/- d_theta(q) - t <= 0 for every segment
-    for sign in (1.0, -1.0):
-        base = next_row
-        if n_blocks:
-            rows.append(base + block_r)
-            cols.append(lam0 + np.arange(n_blocks))
-            data.append(np.ones(n_blocks))
-        rows.append(base + d_theta.row)
-        cols.append(d_theta.col)
-        data.append(sign * d_theta.data)
-        rows.append(base + np.arange(n_s))
-        cols.append(np.full(n_s, t_col))
-        data.append(np.full(n_s, -1.0))
-        sense.append(np.full(n_s, "L"))
-        rhs.append(np.zeros(n_s))
-        next_row += n_s
-
-    # keep the first-stage objective (up to a tiny slack applied by caller)
     obj_nz = np.flatnonzero(prog.obj)
-    rows.append(np.full(obj_nz.size, next_row))
-    cols.append(obj_nz)
-    data.append(prog.obj[obj_nz])
-    sense.append(np.array(["G"]))
-    rhs.append(np.array([objective_floor]))
-    next_row += 1
+    acc.add_rows(np.zeros(obj_nz.size), obj_nz, -prog.obj[obj_nz], [-objective_floor],
+                 [_KIND_CODE["objective.floor"]], [0], [-1])
+    extra = acc.finish()
 
-    extra = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(next_row, n_vars),
+    # the first-stage rows, widened to the new columns without a copy
+    first = sp.csr_matrix((prog.A.data, prog.A.indices, prog.A.indptr),
+                          shape=(prog.n_rows, acc.n_vars))
+    obj = np.zeros(acc.n_vars)
+    obj[t_col] = -1.0  # maximize -t
+    refined = dataclasses.replace(
+        prog,
+        A=sp.vstack([first, extra["A"]], format="csr"),
+        rhs=np.concatenate([prog.rhs, extra["rhs"]]),
+        var_lo=extra["var_lo"], var_hi=extra["var_hi"], obj=obj,
+        **{key: np.concatenate([getattr(prog, key), extra[key]])
+           for key in ("row_kind", "row_meta1", "row_meta2")},
     )
-    A2 = sp.vstack([
-        sp.hstack([prog.A, sp.csr_matrix((n_rows0, n_vars - n0))]),
-        extra[n_rows0:],
-    ]).tocsr()
-    sense2 = np.concatenate([prog.sense] + sense)
-    rhs2 = np.concatenate([prog.rhs] + rhs)
-    lo2 = np.concatenate([prog.var_lo, np.zeros(n_vars - n0)])
-    hi2 = np.concatenate([prog.var_hi, np.full(n_vars - n0, np.inf)])
-    obj2 = np.zeros(n_vars)
-    obj2[t_col] = -1.0  # maximize -t
-    return A2, sense2, rhs2, lo2, hi2, obj2, t_col
+    return refined, t_col
 
 
 def solve(
@@ -813,7 +768,13 @@ def solve(
     feasibility_tol: float = FEASIBILITY_TOL,
 ) -> Solution:
     """Solve the assembled program; optionally re-solve for the flattest
-    optimal reference (same objective value, minimal worst-case step)."""
+    optimal reference (same objective value, minimal worst-case step).
+
+    ``stats["certified"]`` is False when the returned point breaks the
+    program's rows or bounds by more than ``feasibility_tol``.  With
+    refinement, ``stats["first_stage_objective"]`` keeps the objective the
+    refinement started from (it may give up a relative 1e-7 of it).
+    """
     res = solvers.solve_lp(prog.as_lp_data(), backend=backend)
     stats = {
         "backend": backend,
@@ -830,12 +791,10 @@ def solve(
     x = res.x
     objective = float(prog.obj @ x)
     if refine_ramp:
+        stats["first_stage_objective"] = objective
         floor = objective - 1e-7 * max(1.0, abs(objective))
-        A2, sense2, rhs2, lo2, hi2, obj2, t_col = _min_slope_extension(prog, floor)
-        res2 = solvers.solve_lp(
-            solvers.LpData(c=-obj2, A=A2, sense=sense2, rhs=rhs2, lo=lo2, hi=hi2),
-            backend=backend,
-        )
+        refined, t_col = _slope_program(prog, floor)
+        res2 = solvers.solve_lp(refined.as_lp_data(), backend=backend)
         if res2.status == solvers.OPTIMAL:
             x = res2.x[:prog.n_vars]
             objective = float(prog.obj @ x)
@@ -851,7 +810,8 @@ def solve(
 
     violation = prog.max_violation(x)
     stats["max_violation"] = violation
-    if violation > feasibility_tol:
+    stats["certified"] = violation <= feasibility_tol
+    if not stats["certified"]:
         log.warning("solver point violates constraints by %.3e (tol %.1e)",
                     violation, feasibility_tol)
     policy = prog.decode_policy(x)

@@ -3,9 +3,7 @@
 A backend consumes the canonical sparse form
 
     minimize    c @ x
-    subject to  A[i] @ x <= rhs[i]   (sense 'L')
-                A[i] @ x >= rhs[i]   (sense 'G')
-                A[i] @ x == rhs[i]   (sense 'E')
+    subject to  A @ x <= rhs
                 lo <= x <= hi
 
 and returns a :class:`BackendResult`.  The shipped adapters wrap
@@ -35,23 +33,9 @@ class LpData:
 
     c: np.ndarray
     A: sp.csr_matrix
-    sense: np.ndarray  # '<U1' array of 'L'/'G'/'E'
     rhs: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-    def split_rows(self) -> tuple[sp.csr_matrix, np.ndarray, sp.csr_matrix, np.ndarray]:
-        """Normalized (A_ub, b_ub, A_eq, b_eq) with 'G' rows negated."""
-        is_l = self.sense == "L"
-        is_g = self.sense == "G"
-        is_e = self.sense == "E"
-        A_ub = sp.vstack(
-            [self.A[is_l], -self.A[is_g]], format="csr"
-        ) if (is_l.any() or is_g.any()) else sp.csr_matrix((0, self.A.shape[1]))
-        b_ub = np.concatenate([self.rhs[is_l], -self.rhs[is_g]])
-        A_eq = self.A[is_e] if is_e.any() else None
-        b_eq = self.rhs[is_e] if is_e.any() else None
-        return A_ub, b_ub, A_eq, b_eq
 
 
 @dataclass
@@ -70,15 +54,13 @@ _SCIPY_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 def _solve_scipy(data: LpData, method: str) -> BackendResult:
     started = time.perf_counter()
-    A_ub, b_ub, A_eq, b_eq = data.split_rows()
     bounds = np.column_stack([data.lo, data.hi])
+    has_rows = data.A.shape[0] > 0
     try:
         res = linprog(
             data.c,
-            A_ub=A_ub if A_ub.shape[0] else None,
-            b_ub=b_ub if b_ub.size else None,
-            A_eq=A_eq,
-            b_eq=b_eq,
+            A_ub=data.A if has_rows else None,
+            b_ub=data.rhs if has_rows else None,
             bounds=bounds,
             method=method,
         )

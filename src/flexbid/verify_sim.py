@@ -384,13 +384,13 @@ def vertex_oracle(
                               [params.x_lo[-1]]])
     swing = 2.0 * ts.T_S / ts.T_C
 
-    rows_A, senses, rhs_list = [], [], []
+    rows_A, rhs_list = [], []
 
-    def add(mat, sense, rhs):
+    def add(mat, rhs):
+        """Rows ``mat @ x <= rhs``; infinite entries are dropped."""
         keep = np.isfinite(rhs)
         if keep.any():
             rows_A.append(np.atleast_2d(mat)[keep])
-            senses.append(np.full(int(keep.sum()), sense))
             rhs_list.append(rhs[keep])
 
     for bits in range(2 ** n_s):
@@ -410,18 +410,18 @@ def vertex_oracle(
 
         gam = np.zeros(n_pol)
         gam[gcol] = 1.0
-        add(b_mat + gam, "L", p_hi_pt)
-        add(-(b_mat - gam), "L", -p_lo_pt)
+        add(b_mat + gam, p_hi_pt)
+        add(-(b_mat - gam), -p_lo_pt)
 
         d_mat = b_mat[1:] - b_mat[:-1]
-        add(d_mat + swing * gam, "L", params.r_hi * ts.T_S)
-        add(-(d_mat - swing * gam), "L", -params.r_lo * ts.T_S)
+        add(d_mat + swing * gam, params.r_hi * ts.T_S)
+        add(-(d_mat - swing * gam), -params.r_lo * ts.T_S)
 
         # grid states: x0 + integral; activation adds c*T*cumsum(wv)*gamma
         x_mat = w_acc @ b_mat
         x_mat[:, gcol] += c * t_h * np.cumsum(wv)
-        add(x_mat, "L", x_hi_pt - params.x0_max - u_cum)
-        add(-x_mat, "L", -(x_lo_pt - params.x0_min - u_cum))
+        add(x_mat, x_hi_pt - params.x0_max - u_cum)
+        add(-x_mat, -(x_lo_pt - params.x0_min - u_cum))
 
         # intra-interval envelopes, zero-slope and full-slope branches
         x_prev = np.vstack([np.zeros(n_pol), x_mat[:-1]])
@@ -432,17 +432,16 @@ def vertex_oracle(
             # a held reference keeps the start breakpoint to the interval end
             b_end = b_mat[s - 1] if hold else b_mat[s]
             over_a = x_prev[s - 1] + 0.5 * t_h * c * (b_mat[s - 1] + gam)
-            add(over_a, "L", np.array([params.x_hi[s - 1] - const_prev_hi[s - 1] - drive_lo]))
+            add(over_a, np.array([params.x_hi[s - 1] - const_prev_hi[s - 1] - drive_lo]))
             over_b = x_prev[s - 1] + 0.5 * t_h * c * (b_mat[s - 1] + b_end + 2 * gam)
-            add(over_b, "L", np.array([params.x_hi[s - 1] - const_prev_hi[s - 1] - 2 * drive_lo]))
+            add(over_b, np.array([params.x_hi[s - 1] - const_prev_hi[s - 1] - 2 * drive_lo]))
             under_a = x_prev[s - 1] + 0.5 * t_h * c * (b_mat[s - 1] - gam)
-            add(-under_a, "L", np.array([-(params.x_lo[s - 1] - const_prev_lo[s - 1] - drive_lo)]))
+            add(-under_a, np.array([-(params.x_lo[s - 1] - const_prev_lo[s - 1] - drive_lo)]))
             under_b = x_prev[s - 1] + 0.5 * t_h * c * (b_mat[s - 1] + b_end - 2 * gam)
-            add(-under_b, "L",
+            add(-under_b,
                 np.array([-(params.x_lo[s - 1] - const_prev_lo[s - 1] - 2 * drive_lo)]))
 
     A = sp.csr_matrix(np.vstack(rows_A))
-    sense = np.concatenate(senses)
     rhs = np.concatenate(rhs_list)
     lo = np.full(n_pol, -np.inf)
     hi = np.full(n_pol, np.inf)
@@ -470,7 +469,7 @@ def vertex_oracle(
         raise ValueError(f"unknown objective kind {objective.kind!r}")
 
     res = solvers.solve_lp(
-        solvers.LpData(c=-obj, A=A, sense=sense, rhs=rhs, lo=lo, hi=hi),
+        solvers.LpData(c=-obj, A=A, rhs=rhs, lo=lo, hi=hi),
         backend=backend,
     )
     value = -res.objective if res.objective is not None else None

@@ -13,7 +13,8 @@ Proves:
   5. Config mistakes (missing key, bad unit, unknown key, duplicates,
      conflicting initial state) exit with the usage code and name the
      file and line.
-  6. Infeasible and unbounded problems map to their own exit codes.
+  6. Infeasible and unbounded problems map to their own exit codes, and so
+     does a solver point that breaks its own rows (not certified).
   7. suite solves every listed case in order, in parallel if asked, with
      identical output either way; export writes an MPS file that parses
      back to the same dimensions.
@@ -29,9 +30,9 @@ import numpy as np
 import pytest
 
 import flexbid
-from flexbid import read_mps
-from flexbid.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_UNBOUNDED, EXIT_USAGE,
-                         EXIT_VERIFY, load_problem, main, parse_duration,
+from flexbid import read_mps, solvers
+from flexbid.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_UNBOUNDED, EXIT_UNCERTIFIED,
+                         EXIT_USAGE, EXIT_VERIFY, load_problem, main, parse_duration,
                          parse_number, parse_vector)
 
 CONFIG_DIR = pathlib.Path(flexbid.__file__).parent / "configs"
@@ -116,6 +117,31 @@ def test_solve_json_payload(capsys):
     assert payload["gamma_kw"] == pytest.approx(3.75, abs=1e-8)
     assert payload["stats"]["backend"] == "highs"
     assert payload["required_ramp_kw_per_s"] > 0
+
+
+@pytest.fixture
+def perturbed_backend(monkeypatch):
+    """The highs backend, returning its point shifted off the rows."""
+    exact = solvers.BACKENDS["highs"]
+
+    def perturbed(data):
+        res = exact(data)
+        res.x = res.x + 1e-3
+        return res
+
+    monkeypatch.setitem(solvers.BACKENDS, "highs", perturbed)
+
+
+def test_solve_uncertified_point_exit_code(capsys, perturbed_backend):
+    code = main(["solve", TWO_HOUR, "--no-refine-ramp", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_UNCERTIFIED
+    assert payload["status"] == "optimal"
+    assert payload["stats"]["certified"] is False
+    assert payload["stats"]["max_violation"] > 1e-7
+
+    assert main(["solve", TWO_HOUR, "--no-refine-ramp"]) == EXIT_UNCERTIFIED
+    assert "certified false" in capsys.readouterr().out
 
 
 def test_solve_numbers_are_deterministic(capsys):
@@ -325,6 +351,13 @@ def test_parallel_suite_matches_serial(tmp_path, capsys):
     assert parallel == serial
 
 
+def test_suite_uncertified_point_exit_code(tmp_path, capsys, perturbed_backend):
+    code = main(["suite", make_suite(tmp_path), "--no-refine-ramp", "--json"])
+    results = json.loads(capsys.readouterr().out)
+    assert code == EXIT_UNCERTIFIED
+    assert [r["certified"] for r in results] == [False, False]
+
+
 def test_suite_rejects_duplicates_and_empty(tmp_path, capsys):
     dup = tmp_path / "dup.suite"
     shutil.copy(TWO_HOUR, tmp_path / "local.cfg")
@@ -346,6 +379,7 @@ def test_suite_json_reports_each_case(tmp_path, capsys):
     assert [r["name"] for r in results] == ["alpha", "beta"]
     for r in results:
         assert r["status"] == "optimal"
+        assert r["certified"] is True
         assert r["gamma_kw"] == pytest.approx(3.75, abs=1e-8)
 
 

@@ -13,9 +13,11 @@ Proves:
      required ramp satisfies its defining identity.
   5. Monotonicity and scale covariance of the optimum.
   6. Status classification (infeasible, unbounded), decoded policies
-     respect their masks, and solver points satisfy every row.
-  7. The flattest-optimum refinement keeps the objective and never
-     steepens the reference.
+     respect their masks, and solver points satisfy every row; a point
+     that breaks its rows is reported as not certified.
+  7. The flattest-optimum refinement keeps the objective, never steepens
+     the reference, reports the worst step it reached, and is emitted as
+     the slope family plus an objective floor.
   8. Shape errors and multi-period tenders are rejected.
 """
 
@@ -40,7 +42,8 @@ from flexbid import (
     solve,
     vertex_oracle,
 )
-from flexbid.robust_lp import EXPECTED_PROFIT, MAX_CAPACITY
+from flexbid import solvers
+from flexbid.robust_lp import EXPECTED_PROFIT, MAX_CAPACITY, _slope_program
 
 MIN = 60
 HOUR = 3600
@@ -323,6 +326,11 @@ def test_row_tags_and_var_names():
     prog = assemble(params, ts, structure)
     tags = {prog.row_tag(j).split("[")[0] for j in range(0, prog.n_rows, 97)}
     assert tags  # spot-checked tags decode without raising
+    # upper rows lead, the order HiGHS solves fastest on the day-long studies
+    upper = np.array([prog.row_tag(j).split("[")[0].endswith(".hi")
+                      for j in range(prog.n_rows)])
+    assert 0 < upper.sum() < prog.n_rows
+    assert not np.any(upper[1:] & ~upper[:-1])
     names = [prog.var_name(v) for v in (0, prog.layout.gamma, prog.n_vars - 1)]
     assert names[1] == "gamma"
 
@@ -353,10 +361,39 @@ def test_refinement_keeps_objective_and_flattens():
     rough = solve(prog, refine_ramp=False)
     flat = solve(prog, refine_ramp=True)
     assert flat.stats.get("refined") is True
+    assert flat.stats["first_stage_objective"] == rough.objective
     assert flat.objective == pytest.approx(rough.objective, rel=1e-6)
     assert required_ramp(flat) <= required_ramp(rough) + 1e-9
     assert flat.stats["max_violation"] <= 1e-7
+    assert flat.stats["certified"] is True
     assert "refine_wall_time" in flat.stats
+    # the refinement's t is the worst reference step of the returned policy
+    worst = flat.stats["worst_step_kw"] / ts.T_S + 2.0 * flat.gamma / ts.T_C
+    assert worst == pytest.approx(required_ramp(flat), rel=1e-9)
+
+    refined, t_col = _slope_program(prog, rough.objective)
+    assert t_col == prog.n_vars
+    tags = {refined.row_tag(j).split("[")[0] for j in range(prog.n_rows, refined.n_rows)}
+    assert tags == {"epi.pos", "epi.neg", "slope.hi", "slope.lo", "objective.floor"}
+    assert refined.row_tag(refined.n_rows - 1) == "objective.floor[0]"
+    assert refined.A[:prog.n_rows, :prog.n_vars].nnz == prog.A.nnz
+
+
+def test_uncertified_point_is_flagged(monkeypatch):
+    ts, counts, params, structure = make(2)
+    prog = assemble(params, ts, structure)
+    exact = solvers.BACKENDS["highs"]
+
+    def perturbed(data):
+        res = exact(data)
+        res.x = res.x + 1e-3
+        return res
+
+    monkeypatch.setitem(solvers.BACKENDS, "highs", perturbed)
+    sol = solve(prog)
+    assert sol.status == "optimal"
+    assert sol.stats["max_violation"] > 1e-7
+    assert sol.stats["certified"] is False
 
 
 def test_gamma_matches_objective_for_capacity():

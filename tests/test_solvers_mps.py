@@ -3,14 +3,14 @@
 Proves:
   1. solve_lp recovers hand-checked optima and classifies infeasible and
      unbounded programs correctly, for every registered backend.
-  2. split_rows negates 'G' rows exactly once and keeps 'E' rows apart.
-  3. MPS files round-trip the full LP payload (matrix, senses, rhs,
-     bounds, objective) at repr precision, and both sides solve to the
-     same optimum.
-  4. Free/negative/bounded variables map to the right BOUNDS codes.
-  5. Assembled robust programs export with the documented
+  2. MPS files round-trip the full LP payload (matrix, rhs, bounds,
+     objective) at repr precision, every row written as an L row, and
+     both sides solve to the same optimum.
+  3. Free/negative/bounded variables map to the right BOUNDS codes.
+  4. Assembled robust programs export with the documented
      maximize-to-minimize negation.
-  6. The reader rejects features the writer never emits.
+  5. The reader rejects features the writer never emits (RANGES, G and
+     E rows, unknown bound codes).
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ HOUR = 3600
 
 
 def small_lp() -> LpData:
-    """min -x - 2y  s.t.  x + y <= 4,  x - y >= -2,  0 <= x,y <= 3."""
-    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]))
+    """min -x - 2y  s.t.  x + y <= 4,  -x + y <= 2,  0 <= x,y <= 3."""
+    A = sp.csr_matrix(np.array([[1.0, 1.0], [-1.0, 1.0]]))
     return LpData(
         c=np.array([-1.0, -2.0]),
         A=A,
-        sense=np.array(["L", "G"]),
-        rhs=np.array([4.0, -2.0]),
+        rhs=np.array([4.0, 2.0]),
         lo=np.zeros(2),
         hi=np.full(2, 3.0),
     )
@@ -50,7 +49,7 @@ def small_lp() -> LpData:
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_known_optimum(backend):
-    # optimum at x=1, y=3 (corner of x-y>=-2 and y<=3): objective -7
+    # optimum at x=1, y=3 (corner of -x+y<=2 and y<=3): objective -7
     res = solve_lp(small_lp(), backend=backend)
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(-7.0, abs=1e-9)
@@ -59,24 +58,9 @@ def test_known_optimum(backend):
     assert res.wall_time >= 0.0
 
 
-def test_equality_rows():
-    # min x + y  s.t.  x + y == 2, x - y == 0  ->  x = y = 1
-    data = LpData(
-        c=np.array([1.0, 1.0]),
-        A=sp.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]])),
-        sense=np.array(["E", "E"]),
-        rhs=np.array([2.0, 0.0]),
-        lo=np.full(2, -np.inf),
-        hi=np.full(2, np.inf),
-    )
-    res = solve_lp(data)
-    assert res.status == OPTIMAL
-    assert np.allclose(res.x, [1.0, 1.0], atol=1e-9)
-
-
 def test_infeasible_detected():
     data = small_lp()
-    data.rhs = np.array([4.0, 100.0])  # x - y >= 100 impossible in the box
+    data.rhs = np.array([4.0, -100.0])  # x - y >= 100 impossible in the box
     assert solve_lp(data).status == INFEASIBLE
 
 
@@ -84,7 +68,6 @@ def test_unbounded_detected():
     data = LpData(
         c=np.array([-1.0]),
         A=sp.csr_matrix((0, 1)),
-        sense=np.array([], dtype="<U1"),
         rhs=np.array([]),
         lo=np.array([0.0]),
         hi=np.array([np.inf]),
@@ -95,14 +78,6 @@ def test_unbounded_detected():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         solve_lp(small_lp(), backend="simplex9000")
-
-
-def test_split_rows_normalization():
-    data = small_lp()
-    A_ub, b_ub, A_eq, b_eq = data.split_rows()
-    assert A_eq is None and b_eq is None
-    assert np.allclose(A_ub.toarray(), [[1.0, 1.0], [-1.0, 1.0]])
-    assert np.allclose(b_ub, [4.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +93,6 @@ def random_lp(rng, n_rows=14, n_cols=9) -> LpData:
     return LpData(
         c=np.round(rng.normal(size=n_cols), 6),
         A=A,
-        sense=rng.choice(np.array(["L", "G", "E"]), size=n_rows),
         rhs=np.round(rng.normal(scale=4, size=n_rows), 6),
         lo=lo,
         hi=hi,
@@ -134,7 +108,8 @@ def test_mps_round_trip_fields(tmp_path):
         back = read_mps(str(path))
         assert np.allclose(back.c, data.c, rtol=1e-10, atol=1e-14)
         assert np.allclose(back.A.toarray(), data.A.toarray(), rtol=1e-10, atol=1e-14)
-        assert np.array_equal(back.sense, data.sense)
+        rows = path.read_text().split("ROWS\n")[1].split("COLUMNS\n")[0].splitlines()
+        assert [line.split()[0] for line in rows] == ["N"] + ["L"] * data.rhs.size
         assert np.allclose(back.rhs, data.rhs, rtol=1e-10, atol=1e-14)
         assert np.array_equal(np.isinf(back.lo), np.isinf(data.lo))
         assert np.array_equal(np.isinf(back.hi), np.isinf(data.hi))
@@ -154,9 +129,7 @@ def test_mps_round_trip_solves_identically(tmp_path):
         data.hi = np.where(np.isinf(data.hi), 10.0, data.hi)
         x_inner = data.lo + (data.hi - data.lo) * rng.random(data.c.size)
         ax = data.A @ x_inner
-        slack = rng.random(data.rhs.size)
-        data.rhs = np.where(data.sense == "L", ax + slack,
-                            np.where(data.sense == "G", ax - slack, ax))
+        data.rhs = ax + rng.random(data.rhs.size)
         res = solve_lp(data)
         path = tmp_path / f"solve_{i}.mps"
         write_mps(data, str(path))
@@ -171,9 +144,8 @@ def test_mps_round_trip_solves_identically(tmp_path):
 def test_mps_bound_codes(tmp_path):
     data = LpData(
         c=np.array([1.0, 1.0, 1.0, 1.0]),
-        A=sp.csr_matrix(np.ones((1, 4))),
-        sense=np.array(["G"]),
-        rhs=np.array([1.0]),
+        A=sp.csr_matrix(-np.ones((1, 4))),
+        rhs=np.array([-1.0]),
         lo=np.array([0.0, -np.inf, -2.5, 0.0]),
         hi=np.array([np.inf, np.inf, 7.5, 3.0]),
     )
@@ -209,11 +181,16 @@ def test_program_export_negates_objective(tmp_path):
     assert -res.objective == pytest.approx(3.75, abs=1e-6)
 
 
-def test_reader_rejects_ranges(tmp_path):
-    path = tmp_path / "ranges.mps"
-    path.write_text("NAME T\nROWS\n N COST\n L R1\nCOLUMNS\n"
-                    " C1 COST 1.0 R1 1.0\nRHS\n B R1 2.0\nRANGES\n"
-                    " RNG R1 1.0\nENDATA\n")
+@pytest.mark.parametrize("row_type, extra", [
+    ("L", "RANGES\n RNG R1 1.0\n"),
+    ("G", ""),
+    ("E", ""),
+], ids=["RANGES", "G", "E"])
+def test_reader_rejects_ranges(tmp_path, row_type, extra):
+    # programs are A x <= rhs: the writer emits only L rows and no RANGES
+    path = tmp_path / "unsupported.mps"
+    path.write_text("NAME T\nROWS\n N COST\n " + row_type + " R1\nCOLUMNS\n"
+                    " C1 COST 1.0 R1 1.0\nRHS\n B R1 2.0\n" + extra + "ENDATA\n")
     with pytest.raises(ValueError):
         read_mps(str(path))
 
