@@ -58,30 +58,22 @@ def build_R(ts: Timescales, counts: IndexCounts) -> sp.csr_matrix:
     """
     n_s, n_id = counts.N_S, counts.N_ID
     t_id_h = ts.T_ID / SECONDS_PER_HOUR
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for s in range(n_s + 1):
-        t = s * ts.T_S
-        jb = round(t / ts.T_ID)  # nearest slot boundary index
-        in_ramp = (
-            ts.T_RP > 0
-            and 1 <= jb <= n_id - 1
-            and 2 * abs(t - jb * ts.T_ID) < ts.T_RP
-        )
-        if in_ramp:
-            # position within [jb*T_ID - T_RP/2, jb*T_ID + T_RP/2], exact in
-            # integer arithmetic (doubled to avoid fractional halves)
-            theta = (2 * (t - jb * ts.T_ID) + ts.T_RP) / (2 * ts.T_RP)
-            rows += [s, s]
-            cols += [jb - 1, jb]
-            data += [(1.0 - theta) / t_id_h, theta / t_id_h]
-        else:
-            k = min(t // ts.T_ID, n_id - 1)  # 0-based slot, clamped at the end
-            rows.append(s)
-            cols.append(int(k))
-            data.append(1.0 / t_id_h)
-    out = sp.csr_matrix((data, (rows, cols)), shape=(n_s + 1, n_id))
+    s = np.arange(n_s + 1)
+    t = s * ts.T_S
+    jb = np.rint(t / ts.T_ID).astype(int)  # nearest slot boundary index
+    off = t - jb * ts.T_ID
+    ramp = (jb >= 1) & (jb <= n_id - 1) & (2 * np.abs(off) < ts.T_RP)
+    # position within [jb*T_ID - T_RP/2, jb*T_ID + T_RP/2], exact in integer
+    # arithmetic (doubled to avoid fractional halves); 0 outside the windows
+    theta = np.zeros(n_s + 1)
+    theta[ramp] = (2 * off[ramp] + ts.T_RP) / (2 * ts.T_RP)
+    # first entry: the left plateau in a window, else the slot containing t
+    # (clamped at the end); second entry: the right plateau in a window
+    first = np.where(ramp, jb - 1, np.minimum(t // ts.T_ID, n_id - 1))
+    out = sp.csr_matrix(
+        (np.concatenate([1.0 - theta, theta[ramp]]) / t_id_h,
+         (np.concatenate([s, s[ramp]]), np.concatenate([first, jb[ramp]]))),
+        shape=(n_s + 1, n_id))
     out.sum_duplicates()
     return out
 

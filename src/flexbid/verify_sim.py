@@ -25,7 +25,7 @@ from . import solvers
 from .dynamics import SystemParams, discretize
 from .market_time import SECONDS_PER_HOUR, IndexCounts, Timescales, derive_counts
 from .policy import AffinePolicy, PolicyStructure, mask_entries, realized_schedules
-from .reference_map import BaselineSchedule, eval_reference, reference_from_baseline
+from .reference_map import BaselineSchedule, reference_from_baseline
 from .robust_lp import (EXPECTED_PROFIT, MAX_CAPACITY, ObjectiveSpec,
                         VariableLayout, build_market_matrices)
 
@@ -59,7 +59,9 @@ def gen_signal(kind: str, ts: Timescales, seed: int | None = None, **kw) -> Acti
     """Generate a test signal of one of the named kinds.
 
     Keyword options: ``level`` (sustained), ``period`` and ``amplitude``
-    (square_wave, period in seconds), ``step`` (clipped_random_walk).
+    (square_wave, period in seconds; half the period must be a positive
+    multiple of T_C; the default is the largest such period up to T_ID,
+    and at least 2·T_C), ``step`` (clipped_random_walk).
     """
     counts = derive_counts(ts)
     n = counts.N_C + 1
@@ -69,7 +71,10 @@ def gen_signal(kind: str, ts: Timescales, seed: int | None = None, **kw) -> Acti
     elif kind == "sustained":
         values = np.full(n, float(kw.get("level", 1.0)))
     elif kind == "square_wave":
-        period = int(kw.get("period", ts.T_ID))
+        period = int(kw.get("period", 2 * ts.T_C * max(1, ts.T_ID // (2 * ts.T_C))))
+        if period <= 0 or period % (2 * ts.T_C) != 0:
+            raise ValueError(f"square_wave period {period} s: half the period must be a "
+                             f"positive multiple of T_C = {ts.T_C} s")
         amplitude = float(kw.get("amplitude", 1.0))
         values = np.where((t // (period // 2)) % 2 == 0, amplitude, -amplitude)
         values = values.astype(float)
@@ -151,14 +156,19 @@ def simulate_state(
     return x
 
 
-def _pointwise_bounds(per_interval: np.ndarray, m: int, n_pts: int, tighter) -> np.ndarray:
-    """Bound applying at each grid instant; boundary instants take the
-    tighter of the two adjacent intervals."""
-    idx = np.arange(n_pts)
-    n_iv = per_interval.size
-    left = np.clip((idx - 1) // m, 0, n_iv - 1)
-    right = np.clip(idx // m, 0, n_iv - 1)
-    return tighter(per_interval[left], per_interval[right])
+def _pointwise_bounds(per_interval: np.ndarray, m: int, tighter) -> np.ndarray:
+    """Bound applying at each of the ``m * n + 1`` grid instants of ``n``
+    intervals; interior boundary instants take the tighter of the two
+    adjacent intervals."""
+    out = np.append(np.repeat(per_interval, m), per_interval[-1])
+    out[m:-1:m] = tighter(per_interval[:-1], per_interval[1:])
+    return out
+
+
+def _bound_scale(*bounds: np.ndarray) -> float:
+    """Largest finite bound magnitude, floored at 1."""
+    mags = np.abs(np.concatenate(bounds))
+    return max(1.0, float(np.max(mags[np.isfinite(mags)], initial=0.0)))
 
 
 @dataclass
@@ -182,11 +192,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _merge(report_margins, name, margin):
-    if name not in report_margins or margin < report_margins[name]:
-        report_margins[name] = margin
-
-
 def check_feasibility(
     policy: AffinePolicy,
     sig: ActivationSignal,
@@ -198,11 +203,14 @@ def check_feasibility(
 
     Slack is measured in natural units (kW, kW per step, kWh) and compared
     against ``tol`` times a per-check scale (the largest finite bound
-    magnitude, floored at 1).  Both initial-state endpoints are simulated;
-    reported margins are the worse of the two.
+    magnitude, floored at 1).  Each distinct initial-state endpoint is
+    simulated once; reported margins are the worst over them.
     """
     counts = derive_counts(ts)
     problems = params.validate(counts.N_S) + sig.validate(counts)
+    if sig.T_C != ts.T_C:
+        problems.append(f"signal is sampled every T_C = {sig.T_C} s, "
+                        f"but the config's control grid is T_C = {ts.T_C} s")
     if policy.gamma < 0:
         problems.append(f"gamma must be >= 0, got {policy.gamma}")
     if policy.Q_DA.shape != (counts.N_DA, counts.N_DA):
@@ -218,69 +226,51 @@ def check_feasibility(
     profile = reference_from_baseline(base.e_base, mats["R"], ts)
 
     m = ts.T_S // ts.T_C
-    n_pts = counts.N_C + 1
-    t_grid = np.arange(n_pts) * float(ts.T_C)
     if profile.piecewise_constant:
-        p_ref_fine = np.array([eval_reference(profile, t, ts) for t in t_grid])
+        p_ref_fine = np.append(np.repeat(profile.p_ref[:-1], m), profile.p_ref[-1])
     else:
+        t_grid = np.arange(counts.N_C + 1) * float(ts.T_C)
         p_ref_fine = np.interp(t_grid, np.arange(counts.N_S + 1) * float(ts.T_S), profile.p_ref)
     p_target = p_ref_fine + policy.gamma * sig.values
 
-    margins: dict[str, float] = {}
     scales = {
-        "power": max(1.0, float(np.max(np.abs(params.p_hi[np.isfinite(params.p_hi)]), initial=0.0)),
-                     float(np.max(np.abs(params.p_lo[np.isfinite(params.p_lo)]), initial=0.0))),
-        "ramp": 1.0,
-        "state": max(1.0, float(np.max(np.abs(params.x_hi))), float(np.max(np.abs(params.x_lo)))),
+        "power": _bound_scale(params.p_hi, params.p_lo),
+        "ramp": _bound_scale(params.r_hi * ts.T_C, params.r_lo * ts.T_C),
+        "state": _bound_scale(params.x_hi, params.x_lo),
         "energy": 1.0,
     }
-    finite_r = np.isfinite(params.r_hi) | np.isfinite(params.r_lo)
-    if finite_r.any():
-        scales["ramp"] = max(1.0,
-                             float(np.max(np.abs(params.r_hi[np.isfinite(params.r_hi)]) * ts.T_C,
-                                          initial=0.0)),
-                             float(np.max(np.abs(params.r_lo[np.isfinite(params.r_lo)]) * ts.T_C,
-                                          initial=0.0)))
     messages: list[str] = []
 
     # power band (boundary instants: tighter of the adjacent intervals)
-    hi_pt = _pointwise_bounds(params.p_hi, m, n_pts, np.minimum)
-    lo_pt = _pointwise_bounds(params.p_lo, m, n_pts, np.maximum)
-    _merge(margins, "power", float(np.min(hi_pt - p_target)))
-    _merge(margins, "power", float(np.min(p_target - lo_pt)))
+    hi_pt = _pointwise_bounds(params.p_hi, m, np.minimum)
+    lo_pt = _pointwise_bounds(params.p_lo, m, np.maximum)
+    margins = {"power": float(min(np.min(hi_pt - p_target), np.min(p_target - lo_pt)))}
 
-    # ramp per control step, measured in kW per step
+    # ramp per control step, measured in kW per step; an infinite limit
+    # leaves an infinite slack
     dp = np.diff(p_target)
-    r_hi_seg = np.repeat(params.r_hi, m) * ts.T_C
-    r_lo_seg = np.repeat(params.r_lo, m) * ts.T_C
-    fin = np.isfinite(r_hi_seg)
-    if fin.any():
-        _merge(margins, "ramp", float(np.min(r_hi_seg[fin] - dp[fin])))
-    fin = np.isfinite(r_lo_seg)
-    if fin.any():
-        _merge(margins, "ramp", float(np.min(dp[fin] - r_lo_seg[fin])))
-    if "ramp" not in margins:
-        margins["ramp"] = np.inf
+    margins["ramp"] = float(min(np.min(np.repeat(params.r_hi * ts.T_C, m) - dp),
+                                np.min(dp - np.repeat(params.r_lo * ts.T_C, m))))
 
-    # state band for both admissible initial states; a zero-order-hold
+    # state band for each admissible initial state; a zero-order-hold
     # reference holds each sample to the next instant while simulate_state
     # interpolates between samples, so the exact reference response adds a
     # filtered per-step drive difference h2*(p_k - p_{k+1}) on top (the
     # activation part stays piecewise linear by the signal semantics)
-    x_hi_pt = _pointwise_bounds(params.x_hi, m, n_pts, np.minimum)
-    x_lo_pt = _pointwise_bounds(params.x_lo, m, n_pts, np.maximum)
+    x_hi_pt = _pointwise_bounds(params.x_hi, m, np.minimum)
+    x_lo_pt = _pointwise_bounds(params.x_lo, m, np.maximum)
     x_corr = 0.0
     if profile.piecewise_constant:
         f, _, _, h2 = discretize(params.a, params.b, params.c, ts.T_C / SECONDS_PER_HOUR)
-        x_corr = np.zeros(n_pts)
+        x_corr = np.zeros(counts.N_C + 1)
         x_corr[1:] = scipy.signal.lfilter(
             [1.0], [1.0, -f], h2 * (p_ref_fine[:-1] - p_ref_fine[1:]))
-    for x0 in (params.x0_min, params.x0_max):
+    margins["state"] = np.inf
+    for x0 in sorted({params.x0_min, params.x0_max}):
         x = simulate_state(params, ts, p_target, x0) + x_corr
         up = float(np.min(x_hi_pt - x))
         dn = float(np.min(x - x_lo_pt))
-        _merge(margins, "state", up)
-        _merge(margins, "state", dn)
+        margins["state"] = min(margins["state"], up, dn)
         if min(up, dn) < -tol * scales["state"]:
             worst = int(np.argmin(np.minimum(x_hi_pt - x, x - x_lo_pt)))
             messages.append(
@@ -292,8 +282,7 @@ def check_feasibility(
     # between slots relative to the traded positions, so compare against
     # the profile's own content, not e_base)
     delivered = _delivered_energy(p_ref_fine, ts, counts, rectangle=profile.piecewise_constant)
-    declared = profile.e_ref if profile.e_ref is not None else base.e_base
-    _merge(margins, "energy", -float(np.max(np.abs(declared - delivered))))
+    margins["energy"] = -float(np.max(np.abs(profile.e_ref - delivered)))
 
     feasible = all(margins[k] >= -tol * scales[k] for k in margins)
     return VerificationReport(feasible=feasible, gamma=policy.gamma, tol=tol,

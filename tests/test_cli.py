@@ -9,7 +9,9 @@ Proves:
   4. The solve -> save-policy -> verify loop closes: the saved policy
      passes verification, an inflated one fails with exit code 5, and a
      policy whose adjustment structure disagrees with the config is
-     flagged as an information-structure violation.
+     flagged as an information-structure violation.  A signal file on
+     another control grid and an irregular square-wave period exit with
+     the usage code; the default period works on a coarse grid.
   5. Config mistakes (missing key, bad unit, unknown key, duplicates,
      conflicting initial state) exit with the usage code and name the
      file and line.
@@ -212,6 +214,44 @@ def test_verify_reads_saved_signal(tmp_path, capsys):
     save_signal(gen_signal("clipped_random_walk", problem.ts, seed=5), sig_file)
     code = main(["verify", TWO_HOUR, "--policy", policy_file,
                  "--signal", sig_file])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.strip().endswith("feasible")
+
+
+def test_verify_rejects_foreign_grid_and_bad_period(tmp_path, capsys):
+    from flexbid import ActivationSignal, save_signal
+
+    policy_file = str(tmp_path / "battery.policy")
+    main(["solve", TWO_HOUR, "--no-refine-ramp", "--save-policy", policy_file])
+    capsys.readouterr()
+    problem = load_problem(TWO_HOUR)
+    # right sample count for the 1 s grid, but declared on a 2 s grid
+    sig_file = str(tmp_path / "coarse.sig")
+    save_signal(ActivationSignal(values=np.zeros(problem.counts.N_C + 1), T_C=2), sig_file)
+    code = main(["verify", TWO_HOUR, "--policy", policy_file, "--signal", sig_file])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "T_C = 2 s" in err and "T_C = 1 s" in err
+
+    for period in ("3", "0"):
+        code = main(["verify", TWO_HOUR, "--policy", policy_file,
+                     "--kind", "square_wave", "--period", period])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "positive multiple of T_C = 1 s" in err
+
+
+def test_verify_default_period_on_coarse_grid(tmp_path, capsys):
+    # on a 60 s grid T_ID / 2 = 7.5 steps, so the default square-wave
+    # period falls back to the largest regular one below T_ID
+    coarse_cfg = tmp_path / "coarse.cfg"
+    coarse_cfg.write_text(pathlib.Path(TWO_HOUR).read_text().replace("T_C = 1s", "T_C = 60s"))
+    policy_file = str(tmp_path / "coarse.policy")
+    code = main(["solve", str(coarse_cfg), "--save-policy", policy_file])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    code = main(["verify", str(coarse_cfg), "--policy", policy_file, "--kind", "square_wave"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.strip().endswith("feasible")

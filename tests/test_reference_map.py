@@ -11,7 +11,8 @@ Proves:
   3. Total energy is conserved by the ramp redistribution for any ramp
      window, and T_RP = 0 reproduces the slot energies exactly.
   4. M spreads day-ahead energy uniformly (column sums 1) and R rows sum
-     to 1/T_ID (in hours).
+     to 1/T_ID (in hours); R matches its per-breakpoint rule on random
+     admissible chains with ramp windows from 0 to T_ID.
   5. Shape and domain errors are rejected.
 """
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexbid import (
     BaselineSchedule,
@@ -194,6 +197,48 @@ def test_reference_map_rows_sum_to_inverse_slot_length():
         r_map = build_R(ts, counts)
         assert r_map.shape == (counts.N_S + 1, counts.N_ID)
         assert np.allclose(np.asarray(r_map.sum(axis=1)).ravel(), HOUR / ts.T_ID, atol=1e-12)
+
+
+def per_breakpoint_R(ts, counts):
+    """build_R's documented rule, one breakpoint at a time: a breakpoint
+    strictly inside the ramp window of an interior boundary mixes the two
+    adjacent plateaus linearly, any other takes the plateau of the slot
+    containing it (the final breakpoint the last slot)."""
+    t_id_h = ts.T_ID / HOUR
+    out = np.zeros((counts.N_S + 1, counts.N_ID))
+    for s in range(counts.N_S + 1):
+        t = s * ts.T_S
+        windows = [j for j in range(1, counts.N_ID) if abs(t - j * ts.T_ID) < ts.T_RP / 2]
+        if windows:
+            (j,) = windows
+            theta = (t - (j * ts.T_ID - ts.T_RP / 2)) / ts.T_RP
+            out[s, j - 1] = (1.0 - theta) / t_id_h
+            out[s, j] = theta / t_id_h
+        else:
+            out[s, min(t // ts.T_ID, counts.N_ID - 1)] = 1.0 / t_id_h
+    return out
+
+
+@st.composite
+def admissible_chains(draw):
+    t_c = draw(st.sampled_from([1, 2, 5, 60]))
+    t_s = t_c * draw(st.integers(1, 4))
+    per_slot = draw(st.integers(1, 6))
+    t_id = t_s * per_slot
+    t_h = t_id * draw(st.integers(1, 6))
+    return Timescales(T_H=t_h, T_RES=t_h, T_DA=t_h, T_ID=t_id, T_S=t_s, T_C=t_c,
+                      T_RP=t_s * draw(st.integers(0, per_slot)))
+
+
+@settings(deadline=None)
+@given(admissible_chains())
+def test_reference_map_matches_per_breakpoint_rule(ts):
+    counts = derive_counts(ts)
+    got = build_R(ts, counts).toarray()
+    want = per_breakpoint_R(ts, counts)
+    assert np.array_equal(got != 0, want != 0)
+    # theta is formed in another order than the rule's, so allow a few ulps
+    np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_combined_day_ahead_and_intra_day_positions():

@@ -4,7 +4,9 @@ Proves:
   1. Every generated signal kind is admissible (right length, clipped to
      [-1, 1], first sample pinned) and seeded generation is reproducible.
   2. A square wave with period twice the control step alternates sign at
-     every sample, the harshest ramp stress an admissible signal allows.
+     every sample, the harshest ramp stress an admissible signal allows;
+     a period whose half is not a positive multiple of the control step
+     is refused, and the default period is regular on any grid.
   3. Interval averaging of the piecewise-linear signal is exact for
      sustained and linear-in-time signals.
   4. Exact state integration matches an adaptive ODE solver for lossy and
@@ -16,7 +18,11 @@ Proves:
      and a held (step) reference on a coarse grid certifies across its
      plateau jumps, where an interpolating state quadrature would not.
   7. Signals survive a save/load round trip and malformed inputs are
-     refused with specific messages.
+     refused with specific messages, including a signal sampled on another
+     control grid.
+  8. Infinite state limits on one side leave the other side checked.
+  9. The pointwise bounds match "the tighter of the intervals on either
+     side of each instant" for random bounds, infinite ones included.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from flexbid import (
@@ -44,7 +52,7 @@ from flexbid import (
     vertex_oracle,
     zero_policy,
 )
-from flexbid.verify_sim import SIGNAL_KINDS
+from flexbid.verify_sim import SIGNAL_KINDS, _pointwise_bounds
 
 MIN = 60
 HOUR = 3600
@@ -104,6 +112,36 @@ def test_square_wave_at_twice_control_step_alternates_every_sample():
     # after the pinned first sample, consecutive values flip sign each step
     assert np.all(sig.values[1:-1] * sig.values[2:] == -1.0)
     assert set(np.unique(sig.values)) == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("period", [0, -120, 60, 90, 180, 900])
+def test_square_wave_rejects_irregular_periods(period):
+    # T_C = 60 s: half the period must be a positive multiple of 60 s;
+    # 60 s would give a constant signal, 180 s and 900 s an irregular wave
+    with pytest.raises(ValueError, match="positive multiple of T_C = 60 s"):
+        gen_signal("square_wave", swiss_2h(), period=period)
+
+
+def test_square_wave_default_period_is_regular():
+    # T_ID = 15 min: on a 1 s grid the default is T_ID itself; on a 60 s
+    # grid, where T_ID / 2 is 7.5 steps, it is the largest regular period
+    # below T_ID, 14 min
+    for t_c, period in ((1, 15 * MIN), (60, 14 * MIN), (30, 15 * MIN)):
+        ts = swiss_2h(t_c=t_c)
+        np.testing.assert_array_equal(gen_signal("square_wave", ts).values,
+                                      gen_signal("square_wave", ts, period=period).values)
+
+
+def test_square_wave_accepts_regular_periods():
+    ts = swiss_2h()
+    for period in (2 * ts.T_C, 4 * ts.T_C, 2 * ts.T_S):
+        sig = gen_signal("square_wave", ts, period=period)
+        # the sign flips at every multiple of half a period (the pinned
+        # first sample aside), so every run is equally long
+        half = period // (2 * ts.T_C)
+        flips = np.flatnonzero(np.diff(sig.values)) + 1
+        expected = np.arange(half, sig.values.size, half)
+        np.testing.assert_array_equal(flips[flips > 1], expected[expected > 1])
 
 
 def test_sustained_level_and_zero():
@@ -284,6 +322,31 @@ def test_power_violation_is_caught():
     assert "FAIL power" in report.format()
 
 
+@pytest.mark.parametrize("open_side", ["x_hi", "x_lo"])
+def test_infinite_state_bound_keeps_the_other_side_checked(open_side):
+    # 4 kW of sustained activation for 2 h moves the state by 8 kWh: from
+    # 1 kWh down to -7 kWh below x_lo = 0, or from 14 kWh up to 7 kWh above
+    # x_hi = 15; the infinite limit on the other side must not switch the
+    # state check off
+    ts = swiss_2h()
+    counts = derive_counts(ts)
+    if open_side == "x_hi":
+        params = SystemParams.constant(counts.N_S, p_lo=-5, p_hi=5, x_lo=0, x_hi=np.inf,
+                                       x0_min=1.0, x0_max=1.0)
+        level = -1.0
+    else:
+        params = SystemParams.constant(counts.N_S, p_lo=-5, p_hi=5, x_lo=-np.inf, x_hi=15,
+                                       x0_min=14.0, x0_max=14.0)
+        level = 1.0
+    pol = dataclasses.replace(zero_policy(counts), gamma=4.0)
+    report = check_feasibility(pol, gen_signal("sustained", ts, level=level), params, ts)
+    assert np.isfinite(report.scales["state"])
+    assert report.margins["state"] == pytest.approx(-7.0, abs=1e-9)
+    assert not report.feasible
+    assert "FAIL state" in report.format()
+    assert len(report.messages) == 1
+
+
 def test_report_format_lists_every_check(solved_2h):
     ts, _, params, sol = solved_2h
     report = check_feasibility(sol.policy, gen_signal("zero", ts), params, ts)
@@ -346,6 +409,41 @@ def test_verification_refuses_malformed_inputs(solved_2h):
                                    Q_DA=sol.policy.Q_DA[:, :-1])
     with pytest.raises(ValueError, match="Q_DA shape"):
         check_feasibility(squeezed, gen_signal("zero", ts), params, ts)
+
+
+def test_signal_on_another_control_grid_is_refused(solved_2h):
+    # right sample count, but sampled on a 120 s grid against the 60 s one
+    ts, counts, params, sol = solved_2h
+    coarse = ActivationSignal(values=np.zeros(counts.N_C + 1), T_C=2 * ts.T_C)
+    with pytest.raises(ValueError, match=r"T_C = 120 s.*T_C = 60 s"):
+        check_feasibility(sol.policy, coarse, params, ts)
+
+
+# ---------------------------------------------------------------------------
+# pointwise bounds
+
+
+def interval_bounds_reference(per_interval, m, tighter):
+    """Instant k lies in every interval i with i*m <= k <= (i+1)*m; the
+    bound there is the tighter of those intervals' bounds."""
+    n = len(per_interval)
+    out = []
+    for k in range(n * m + 1):
+        around = [per_interval[i] for i in range(n) if i * m <= k <= (i + 1) * m]
+        out.append(tighter(around))
+    return np.array(out)
+
+
+bound_values = st.one_of(st.floats(-50, 50), st.sampled_from([-np.inf, np.inf]))
+
+
+@settings(deadline=None)
+@given(per_interval=st.lists(bound_values, min_size=1, max_size=8),
+       m=st.integers(1, 5), upper=st.booleans())
+def test_pointwise_bounds_match_interval_rule(per_interval, m, upper):
+    tighter, reduce = (np.minimum, min) if upper else (np.maximum, max)
+    got = _pointwise_bounds(np.array(per_interval), m, tighter)
+    np.testing.assert_array_equal(got, interval_bounds_reference(per_interval, m, reduce))
 
 
 # ---------------------------------------------------------------------------
