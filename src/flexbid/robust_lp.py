@@ -2,12 +2,19 @@
 
 Decision variables are the policy coefficients (masked entries of Q_DA and
 Q_ID, intercept vectors q_DA and q_ID, reserve capacity gamma >= 0) plus
-one epigraph auxiliary per absolute-value term of the robust reformulation.
-Every constraint family is affine in the averaged activation signal
-w_tilde in [-1, 1]^N_S, so its robust counterpart replaces each
-w_tilde-coefficient row A with the per-entry bound |A| @ 1, linearized as
+one epigraph auxiliary per distinct absolute-value block of the robust
+reformulation.  Every constraint family is affine in the averaged
+activation signal w_tilde in [-1, 1]^N_S, so its robust counterpart
+replaces each w_tilde-coefficient row A with the per-entry bound |A| @ 1,
+linearized as
 
     lambda_i >= +A_i,   lambda_i >= -A_i,   sum_i lambda_i <= slack.
+
+Blocks A_i that are equal bit for bit (policy columns, coefficients and
+gamma coefficient), within a family or across families, share one lambda:
+a shared lambda >= |A_i| is the same constraint as one per copy, so the
+projection onto the policy columns is unchanged (a row that sums the same
+lambda twice gets coefficient 2).
 
 Every row, including these epigraph rows and the lower row of each
 family, is stored as ``A x <= rhs``: ``>=`` rows are written negated.
@@ -191,12 +198,17 @@ class _Accumulator:
     """Batched COO builder of ``A x <= rhs`` rows with per-row metadata.
 
     Columns start with the given bounds; :meth:`add_vars` appends more.
+    ``epigraph`` maps an absolute-value block's signature to its epigraph
+    column, so every family emitted here shares it; ``abs_blocks`` counts
+    the blocks before sharing.
     """
 
     def __init__(self, var_lo: np.ndarray, var_hi: np.ndarray):
         self.n_vars = len(var_lo)
         self.var_lo = [np.asarray(var_lo, dtype=float)]
         self.var_hi = [np.asarray(var_hi, dtype=float)]
+        self.epigraph: dict[bytes, int] = {}
+        self.abs_blocks = 0
         self.rows: list[np.ndarray] = []
         self.cols: list[np.ndarray] = []
         self.data: list[np.ndarray] = []
@@ -383,6 +395,52 @@ def _theta_symbol(layout: VariableLayout, mats: dict, n_s: int) -> sp.csr_matrix
     return sp.csr_matrix((n_s + 1, max(n_s * n_q, 0)))
 
 
+def _epigraph_columns(
+    acc: _Accumulator,
+    block_first: np.ndarray,
+    ent_block: np.ndarray,
+    ent_v: np.ndarray,
+    ent_val: np.ndarray,
+    gcoef: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Epigraph column of each absolute-value block, one per distinct block.
+
+    A block's signature is its gamma coefficient followed by its (policy
+    column, coefficient bytes) pairs in column order, so only blocks equal
+    bit for bit share a column.  Blocks are first made distinct within the
+    call (signature rows padded to the longest block), then looked up in
+    ``acc.epigraph``.  Entries must be sorted by block, then by column.
+    Returns the column of every block and the blocks that opened a new
+    column, in first-occurrence order.
+    """
+    n_blocks = block_first.size
+    size = np.diff(np.append(block_first, ent_v.size))
+    slot = 1 + 2 * (np.arange(ent_v.size) - block_first[ent_block])
+    sig = np.zeros((n_blocks, 1 + 2 * int(size.max())), dtype=np.int64)
+    sig[:, 1::2] = -1                                  # padding: no column
+    sig[:, 0] = (gcoef + 0.0).view(np.int64)           # + 0.0 keys -0.0 as 0.0
+    sig[ent_block, slot] = ent_v
+    sig[ent_block, slot + 1] = (ent_val + 0.0).view(np.int64)
+    # one opaque item per row: unique compares whole rows as bytes, several
+    # times faster than np.unique(axis=0)'s field-by-field sort
+    rows = sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+
+    col = np.empty(first.size, dtype=np.int64)
+    fresh = []
+    for u in np.argsort(first):
+        b = first[u]
+        key = sig[b, :1 + 2 * size[b]].tobytes()
+        c = acc.epigraph.get(key)
+        if c is None:
+            c = acc.epigraph[key] = acc.n_vars + len(fresh)
+            fresh.append(b)
+        col[u] = c
+    acc.add_vars(len(fresh), lo=0.0)
+    acc.abs_blocks += n_blocks
+    return col[inverse], np.asarray(fresh, dtype=np.int64)
+
+
 def _emit_family(
     acc: _Accumulator,
     *,
@@ -441,7 +499,7 @@ def _emit_family(
         ent_val = np.empty(0)
 
     key = ent_r.astype(np.int64) * (TH.shape[1] // n_q + 1 if n_q else 1) + ent_i
-    order = np.argsort(key, kind="stable")
+    order = np.lexsort((ent_v, key))          # by block, then by policy column
     ent_r, ent_i, ent_v, ent_val, key = (
         ent_r[order], ent_i[order], ent_v[order], ent_val[order], key[order])
     block_key, block_first = np.unique(key, return_index=True)
@@ -449,8 +507,6 @@ def _emit_family(
     ent_block = np.searchsorted(block_key, key)
     block_r = ent_r[block_first]
     block_i = ent_i[block_first]
-
-    lam0 = acc.add_vars(n_blocks, lo=0.0)
 
     # activation carry-over coefficient of each block (0 when i >= krow)
     sk = krow[block_r]
@@ -460,28 +516,34 @@ def _emit_family(
     gcoef = c_t * e_hat * kval
 
     if n_blocks:
-        # epigraph pair per block: -lam +- (C + gcoef*gamma) <= 0
+        block_col, fresh = _epigraph_columns(acc, block_first, ent_block, ent_v, ent_val, gcoef)
+        # epigraph pair per new column: -lam +- (C + gcoef*gamma) <= 0
+        pair = np.full(n_blocks, -1, dtype=np.int64)
+        pair[fresh] = np.arange(fresh.size)
+        ent = np.flatnonzero(pair[ent_block] >= 0)
+        ent_pair = pair[ent_block[ent]]
+        new = np.arange(fresh.size)
         erows = np.concatenate([
-            2 * ent_block, 2 * ent_block + 1,                  # policy terms
-            2 * np.arange(n_blocks), 2 * np.arange(n_blocks) + 1,  # lambda
-            2 * np.arange(n_blocks), 2 * np.arange(n_blocks) + 1,  # gamma
+            2 * ent_pair, 2 * ent_pair + 1,      # policy terms
+            2 * new, 2 * new + 1,                # lambda
+            2 * new, 2 * new + 1,                # gamma
         ])
         ecols = np.concatenate([
-            ent_v, ent_v,
-            lam0 + np.arange(n_blocks), lam0 + np.arange(n_blocks),
-            np.full(n_blocks, gamma_col), np.full(n_blocks, gamma_col),
+            ent_v[ent], ent_v[ent],
+            block_col[fresh], block_col[fresh],
+            np.full(fresh.size, gamma_col), np.full(fresh.size, gamma_col),
         ])
         edata = np.concatenate([
-            ent_val, -ent_val,
-            -np.ones(n_blocks), -np.ones(n_blocks),
-            gcoef, -gcoef,
+            ent_val[ent], -ent_val[ent],
+            -np.ones(fresh.size), -np.ones(fresh.size),
+            gcoef[fresh], -gcoef[fresh],
         ])
-        n_epi = 2 * n_blocks
+        n_epi = 2 * fresh.size
         epi_kind = np.empty(n_epi, dtype=np.int16)
         epi_kind[0::2] = _KIND_CODE["epi.pos"]
         epi_kind[1::2] = _KIND_CODE["epi.neg"]
-        epi_m1 = np.repeat(members[block_r], 2)
-        epi_m2 = np.repeat(block_i + 1, 2)
+        epi_m1 = np.repeat(members[block_r[fresh]], 2)
+        epi_m2 = np.repeat(block_i[fresh] + 1, 2)
         acc.add_rows(erows, ecols, edata, np.zeros(n_epi), epi_kind, epi_m1, epi_m2)
 
     # per-row sums of carry-over weights, split into policy-active blocks
@@ -511,7 +573,7 @@ def _emit_family(
         if n_blocks:
             bkeep = mask[block_r]
             parts_r.append(row_of[block_r[bkeep]])
-            parts_c.append(lam0 + np.flatnonzero(bkeep))
+            parts_c.append(block_col[bkeep])
             parts_d.append(np.ones(int(bkeep.sum())))
         qkeep = mask[q_rows.row]
         parts_r.append(row_of[q_rows.row[qkeep]])
@@ -692,8 +754,9 @@ def assemble(
         ts=ts, counts=counts, params=params, structure=structure,
         objective=objective, matrices=mats, dd=dd,
     )
-    log.info("assembled robust LP: %d rows, %d columns, %d nonzeros",
-             prog.n_rows, prog.n_vars, prog.A.nnz)
+    log.info("assembled robust LP: %d rows, %d columns, %d nonzeros; "
+             "%d absolute-value blocks share %d epigraph columns",
+             prog.n_rows, prog.n_vars, prog.A.nnz, acc.abs_blocks, len(acc.epigraph))
     return prog
 
 
@@ -783,6 +846,8 @@ def solve(
         "message": res.message,
         "rows": prog.n_rows,
         "columns": prog.n_vars,
+        "nonzeros": prog.A.nnz,
+        "epigraph_columns": prog.n_vars - prog.layout.n_policy,
     }
     if res.status != solvers.OPTIMAL:
         return Solution(status=res.status, objective=None, gamma=None,

@@ -1,9 +1,10 @@
 """Acceptance gate: nine independently checkable claims, one test each.
 
 Each test prints exactly one pass/fail line under ``pytest -v``.  The
-expensive fixtures (the three intra-day lead studies solve LPs with tens
-of thousands of rows) are module scoped and shared, so the whole gate
-runs in roughly ten minutes; everything else takes seconds.
+solved fixtures (the three intra-day lead studies solve LPs with a few
+thousand rows) are module scoped and shared, so the whole gate runs in
+about 80 seconds on two cores, most of it criterion 6's thousand-signal
+certificates; everything else takes seconds.
 
 Proves:
   1. The one-day fixed-baseline optimum is the analytic buffer/horizon

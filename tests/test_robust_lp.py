@@ -19,11 +19,16 @@ Proves:
      the reference, reports the worst step it reached, and is emitted as
      the slope family plus an objective floor.
   8. Shape errors and multi-period tenders are rejected.
+  9. Each distinct absolute-value block gets exactly one epigraph column,
+     and every such column enters a family row; ``solve`` reports the
+     nonzero and epigraph-column counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -398,6 +403,44 @@ def test_uncertified_point_is_flagged(monkeypatch):
 
 def test_gamma_matches_objective_for_capacity():
     sol, _, _ = solve_make(2, lead=0, id_lb=2)
+    prog = sol.program
     assert sol.objective == pytest.approx(sol.gamma, abs=1e-12)
-    assert sol.stats["rows"] == sol.program.n_rows
-    assert sol.stats["columns"] == sol.program.n_vars
+    assert sol.stats["rows"] == prog.n_rows
+    assert sol.stats["columns"] == prog.n_vars
+    assert sol.stats["nonzeros"] == prog.A.nnz
+    assert sol.stats["epigraph_columns"] == prog.n_vars - prog.layout.n_policy > 0
+
+
+# ---------------------------------------------------------------------------
+# epigraph sharing
+
+
+def test_each_distinct_absolute_value_block_has_one_epigraph_column(caplog):
+    ts, counts, params, structure = make(4, id_lb=1)
+    with caplog.at_level(logging.INFO, logger="flexbid.robust_lp"):
+        prog = assemble(params, ts, structure)
+    n_policy = prog.layout.n_policy
+    A = prog.A.tocsr()
+    kinds = np.array([prog.row_tag(j).split("[")[0] for j in range(prog.n_rows)])
+
+    # one epigraph pair per column: -lam + (policy terms + g*gamma) <= 0
+    signature_of = {}
+    for j in np.flatnonzero(kinds == "epi.pos"):
+        row = A.getrow(j)
+        aux = row.indices >= n_policy
+        assert aux.sum() == 1 and row.data[aux][0] == -1.0
+        lam = int(row.indices[aux][0])
+        order = np.argsort(row.indices[~aux])
+        signature = (row.indices[~aux][order].tobytes(), row.data[~aux][order].tobytes())
+        assert lam not in signature_of
+        signature_of[lam] = signature
+    assert sorted(signature_of) == list(range(n_policy, prog.n_vars))
+    # no two columns bound the same block
+    assert len(set(signature_of.values())) == len(signature_of)
+    # every column enters some family row
+    family = ~np.char.startswith(kinds, "epi.")
+    assert np.all(A[family][:, n_policy:].getnnz(axis=0) > 0)
+
+    blocks, columns = map(int, re.search(
+        r"(\d+) absolute-value blocks share (\d+) epigraph columns", caplog.text).groups())
+    assert columns == prog.n_vars - n_policy < blocks

@@ -13,7 +13,8 @@ Proves:
      lossless storage under random piecewise-linear power.
   5. Solved policies pass certification under a battery of admissible
      signals, while the same policy with gamma inflated by 1% fails under
-     sustained activation; the reports say which limit broke.
+     sustained activation; the reports say which limit broke.  This holds
+     for lossy storage with intra-day adjustment too.
   6. The delivered-energy closure holds with and without a ramp window,
      and a held (step) reference on a coarse grid certifies across its
      plateau jumps, where an interpolating state quadrature would not.
@@ -297,6 +298,28 @@ def test_inflated_gamma_fails_under_sustained_activation(solved_2h):
     # the full buffer is consumed at the optimum, so at least one
     # sustained direction must break once gamma is inflated
     assert failures >= 1
+
+
+def test_lossy_adjustable_policy_certifies_and_is_tight():
+    """Lossy storage (a = -0.02 1/h) with one-hour-lead intra-day
+    adjustment: its absolute-value blocks are scaled by powers of the
+    decay factor, so few of them share an epigraph column."""
+    ts = Timescales(T_H=4 * HOUR, T_RES=4 * HOUR, T_DA=HOUR, T_ID=15 * MIN,
+                    T_S=5 * MIN, T_C=60, T_RP=10 * MIN, T_ID_lead=HOUR)
+    counts = derive_counts(ts)
+    params = dataclasses.replace(battery(counts.N_S), a=-0.02)
+    structure = PolicyStructure.build(counts, ts, 0, 1)
+    sol = solve(assemble(params, ts, structure), refine_ramp=True)
+    assert sol.status == "optimal"
+    assert sol.stats["certified"] is True
+    for sig in (gen_signal("sustained", ts), gen_signal("sustained", ts, level=-1.0),
+                gen_signal("square_wave", ts)):
+        report = check_feasibility(sol.policy, sig, params, ts)
+        assert report.feasible, report.format()
+    bigger = dataclasses.replace(sol.policy, gamma=1.01 * sol.gamma)
+    verdicts = [check_feasibility(bigger, gen_signal("sustained", ts, level=level),
+                                  params, ts).feasible for level in (1.0, -1.0)]
+    assert not all(verdicts)
 
 
 def test_zero_policy_trivially_feasible():
