@@ -214,26 +214,31 @@ def build_state_matrices(
     eps, e_hat = epsilon_bound(a, t_step)
     powers = np.ones(n + 1) if f == 1.0 else f ** np.arange(n + 1)
 
-    # K[s, i] = f^(s-i) for 0 <= i <= s (0-based), shape (n, n): row s covers
-    # intervals 1..s+1 -> columns 0..s
+    # K[s, i] = f^(s-i) for 0 <= i <= s (0-based), shape (n, n), built in CSR
+    # directly: row s holds columns 0..s and starts at entry s(s+1)/2
+    ptr = np.arange(n + 1) * np.arange(1, n + 2) // 2
     rows = np.repeat(np.arange(n), np.arange(1, n + 1))
-    cols = np.concatenate([np.arange(s + 1) for s in range(n)]) if n else np.empty(0, dtype=int)
-    K = sp.csr_matrix((powers[rows - cols], (rows, cols)), shape=(n, n))
+    cols = np.arange(ptr[-1]) - ptr[rows]
+    k_data = powers[rows - cols]
+    K = sp.csr_matrix((k_data, cols, ptr), shape=(n, n))
     G = (g * K).tocsr()
 
     if hold:
         # H[s, j] = f^(s-j)*(h1 + h2) for j <= s: constant drive per interval
-        H = sp.csr_matrix(
-            (powers[rows - cols] * (h1 + h2), (rows, cols)), shape=(n, n + 1)
-        )
+        H = sp.csr_matrix((k_data * (h1 + h2), cols, ptr), shape=(n, n + 1))
     else:
         # H[s, j]: breakpoint j of p enters state s+1 (0-based row s) with
-        # f^(s-j)*h1 for j <= s and f^(s+1-j)*h2 for 1 <= j <= s+1
-        h_rows = np.concatenate([rows, rows])
-        h_cols = np.concatenate([cols, cols + 1])
-        h_data = np.concatenate([powers[rows - cols] * h1, powers[rows - cols] * h2])
-        H = sp.csr_matrix((h_data, (h_rows, h_cols)), shape=(n, n + 1))
-        H.sum_duplicates()
+        # f^(s-j)*h1 for j <= s and f^(s+1-j)*h2 for 1 <= j <= s+1, so row s
+        # holds columns 0..s+1 and K's entry (s, j) lands on entry k + s
+        # (the h1 term of column j) and k + s + 1 (the h2 term of column j+1)
+        pos = np.arange(ptr[-1]) + rows
+        h_cols = np.empty(ptr[-1] + n, dtype=np.int64)
+        h_cols[pos] = cols
+        h_cols[pos + 1] = cols + 1
+        h_data = np.zeros(ptr[-1] + n)
+        h_data[pos] = k_data * h1
+        h_data[pos + 1] += k_data * h2
+        H = sp.csr_matrix((h_data, h_cols, ptr + np.arange(n + 1)), shape=(n, n + 1))
 
     return DiscreteDynamics(
         f=f, g=g, h1=h1, h2=h2, eps=eps, e_a_tau_hat=e_hat,

@@ -1,7 +1,8 @@
 """Robust counterpart of the joint energy and reserve bidding problem.
 
 Decision variables are the policy coefficients (masked entries of Q_DA and
-Q_ID, intercept vectors q_DA and q_ID, reserve capacity gamma >= 0) plus
+Q_ID, intercept vectors q_DA and q_ID, reserve capacity gamma >= 0), the
+N_S nominal grid states z_1..z_N_S (free, right after the policy), plus
 one epigraph auxiliary per distinct absolute-value block of the robust
 reformulation.  Every constraint family is affine in the averaged
 activation signal w_tilde in [-1, 1]^N_S, so its robust counterpart
@@ -16,11 +17,25 @@ a shared lambda >= |A_i| is the same constraint as one per copy, so the
 projection onto the policy columns is unchanged (a row that sums the same
 lambda twice gets coefficient 2).
 
+The nominal states follow the exact step map of the nominal reference
+p = theta_coef @ x (the ``dyn`` family, one equality per interval written
+as an upper and a lower row):
+
+    z_s = f*z_{s-1} + h1*p_{s-1} + h2*p_s,   z_0 = 0,
+
+with (h1 + h2)*p_{s-1} for a held reference (T_RP = 0).  Since f > 0 the
+rows fix z = H @ p uniquely, so the projection onto the policy columns is
+the condensed program's, with no rounding or tolerance involved.  The
+state and envelope rows read z_s or z_{s-1} plus O(1) breakpoint terms
+instead of a dense row of H @ theta_coef; the condensed map H now enters
+only the absolute-value blocks, which are empty without Q entries.
+
 Every row, including these epigraph rows and the lower row of each
 family, is stored as ``A x <= rhs``: ``>=`` rows are written negated.
 
 Families (one upper and/or lower row each):
 
+  dyn    interval s = 1..N_S: the step map above, no activation term;
   power  breakpoint s = 0..N_S: worst-case reference +/- gamma within the
          tighter of the two adjacent interval power bounds;
   ramp   segment s = 1..N_S: worst-case reference step plus the activation
@@ -29,7 +44,7 @@ Families (one upper and/or lower row each):
   state  grid state x_s, s = 1..N_S: the activation carry-over integral is
          bounded via the midpoint coefficient e_a_tau_hat with radius eps,
          giving |H Theta + c gamma e_hat T K|1 + c gamma eps T K 1 around
-         the nominal kappa, within the tighter adjacent state bounds (the
+         the nominal z_s, within the tighter adjacent state bounds (the
          adverse initial-state endpoint is used per direction);
   intra-interval envelopes, s = 1..N_S: affine under/over-approximations of
          the state between grid points pinch the trajectory against the
@@ -78,7 +93,7 @@ EXPECTED_PROFIT = "expected_profit"
 _ROW_KINDS = (
     "power.hi", "power.lo", "ramp.hi", "ramp.lo", "state.hi", "state.lo",
     "env_a.hi", "env_a.lo", "env_b.hi", "env_b.lo", "epi.pos", "epi.neg",
-    "slope.hi", "slope.lo", "objective.floor",
+    "slope.hi", "slope.lo", "objective.floor", "dyn.hi", "dyn.lo",
 )
 _KIND_CODE = {name: code for code, name in enumerate(_ROW_KINDS)}
 _UPPER_KINDS = [code for name, code in _KIND_CODE.items() if name.endswith(".hi")]
@@ -298,6 +313,11 @@ class RobustProgram:
     def n_vars(self) -> int:
         return self.A.shape[1]
 
+    @property
+    def state_columns(self) -> range:
+        """Columns of the nominal grid states z_1..z_N_S, right after the policy."""
+        return range(self.layout.n_policy, self.layout.n_policy + self.counts.N_S)
+
     def row_tag(self, j: int) -> str:
         kind = _ROW_KINDS[self.row_kind[j]]
         s, i = self.row_meta1[j], self.row_meta2[j]
@@ -317,7 +337,10 @@ class RobustProgram:
             return f"q_ID[{v - lay.off_qid_vec + 1}]"
         if v == lay.gamma:
             return "gamma"
-        return f"aux[{v - lay.n_policy + 1}]"
+        z = self.state_columns
+        if v < z.stop:
+            return f"z[{v - z.start + 1}]"
+        return f"aux[{v - z.stop + 1}]"
 
     def decode_policy(self, x: np.ndarray) -> AffinePolicy:
         lay = self.layout
@@ -455,7 +478,7 @@ def _emit_family(
     dg_up: np.ndarray,
     dg_lo: np.ndarray,
     TH: sp.spmatrix,
-    theta_coef: sp.spmatrix,
+    nominal: sp.spmatrix,
     layout: VariableLayout,
     f: float,
     eps: float,
@@ -465,8 +488,10 @@ def _emit_family(
 ) -> None:
     """Emit epigraph blocks and the upper/lower rows of one family.
 
-    ``W`` maps breakpoint space to the family rows, ``members`` carries the
-    1-based member index per row (tagging only), ``krow[r]`` the number of
+    ``W`` maps breakpoint space to the family rows and so shapes their
+    absolute-value blocks ``W @ TH``; ``nominal`` holds the rows' nominal
+    (activation-free) part over the program's columns.  ``members`` carries
+    the 1-based member index per row (tagging only), ``krow[r]`` the number of
     activation carry-over terms entering row r, ``c_t`` the product
     c * T_S (hours).  Infinite ``rhs`` entries suppress that direction.
     ``dg_up``/``dg_lo`` multiply column ``dg_col`` (gamma unless given).
@@ -558,7 +583,7 @@ def _emit_family(
     free_k = total_k - act_k
     abs_gamma = c_t * (free_k + eps * act_k)
 
-    q_rows = (W @ theta_coef).tocoo()
+    q_rows = nominal.tocoo()
 
     def emit_direction(upper: bool) -> None:
         # sum(lam) + sgn*(q terms) + abs_gamma*gamma + sgn*dg*dg_col <= sgn*(rhs - const)
@@ -635,13 +660,17 @@ def assemble(
     var_lo[layout.gamma] = 0.0
     acc = _Accumulator(var_lo, np.full(layout.n_policy, np.inf))
 
+    # nominal grid states z_1..z_N_S: free columns after the policy
+    z_first = acc.add_vars(n_s, lo=-np.inf)
+    n_cols = z_first + n_s
+
     # Q-entry symbol, reference map of the q vectors and the breakpoint
     # step operator; the ramp refinement reuses all three
     TH = mats["TH"] = _theta_symbol(layout, mats, n_s)
     theta_coef = mats["theta_coef"] = sp.hstack([
         sp.csr_matrix((n_s + 1, layout.n_q)),
         mats["RM"], mats["R"],
-        sp.csr_matrix((n_s + 1, 1)),
+        sp.csr_matrix((n_s + 1, 1 + n_s)),        # gamma and the states
     ]).tocsr()
     diff = mats["diff"] = sp.csr_matrix(
         (np.concatenate([np.ones(n_s), -np.ones(n_s)]),
@@ -657,16 +686,27 @@ def assemble(
     f_prev = np.concatenate([[1.0], dd.F[:-1]])
     gu_prev = np.concatenate([[0.0], gu[:-1]])
 
-    common = dict(TH=TH, theta_coef=theta_coef, layout=layout,
-                  f=dd.f, eps=dd.eps, e_hat=dd.e_a_tau_hat, c_t=c_t)
+    common = dict(TH=TH, layout=layout, f=dd.f, eps=dd.eps, e_hat=dd.e_a_tau_hat, c_t=c_t)
     members_bp = np.arange(n_s + 1)
     members_s = np.arange(1, n_s + 1)
     zeros_bp = np.zeros(n_s + 1)
     zeros_s = np.zeros(n_s)
 
+    # dyn: z_s - f*z_{s-1} - h1*p_{s-1} - h2*p_s = 0 as an upper and a lower
+    # row.  A held reference (T_RP = 0) keeps the start breakpoint through
+    # the interval end, so it drives the whole step with (h1 + h2)*p_{s-1}.
+    e_prev = sp.eye(n_s, n_s + 1, k=0, format="csr")
+    e_end = e_prev if ts.T_RP == 0 else sp.eye(n_s, n_s + 1, k=1, format="csr")
+    z_cur = sp.eye(n_s, n_cols, k=z_first, format="csr")
+    z_prev = sp.vstack([sp.csr_matrix((1, n_cols)), z_cur[:-1]]).tocsr()
+    dyn = (z_cur - dd.f * z_prev - (dd.h1 * e_prev + dd.h2 * e_end) @ theta_coef).tocoo()
+    for kind, sgn in (("dyn.hi", 1.0), ("dyn.lo", -1.0)):
+        acc.add_rows(dyn.row, dyn.col, sgn * dyn.data, zeros_s,
+                     np.full(n_s, _KIND_CODE[kind]), members_s, np.full(n_s, -1))
+
     # power: reference +/- gamma within the tighter adjacent interval bounds
     _emit_family(
-        acc, name="power", W=sp.eye(n_s + 1, format="csr"),
+        acc, name="power", W=sp.eye(n_s + 1, format="csr"), nominal=theta_coef,
         members=members_bp, krow=np.zeros(n_s + 1, dtype=np.int64),
         rhs_up=_adjacent(params.p_hi, np.minimum),
         rhs_lo=_adjacent(params.p_lo, np.maximum),
@@ -678,7 +718,7 @@ def assemble(
     # ramp: reference step plus activation swing within r * T_S
     swing = 2.0 * ts.T_S / ts.T_C
     _emit_family(
-        acc, name="ramp", W=diff,
+        acc, name="ramp", W=diff, nominal=diff @ theta_coef,
         members=members_s, krow=np.zeros(n_s, dtype=np.int64),
         rhs_up=params.r_hi * ts.T_S, rhs_lo=params.r_lo * ts.T_S,
         const_up=zeros_s, const_lo=zeros_s,
@@ -688,7 +728,7 @@ def assemble(
 
     # grid states within the tighter adjacent interval bounds
     _emit_family(
-        acc, name="state", W=dd.H,
+        acc, name="state", W=dd.H, nominal=z_cur,
         members=members_s, krow=np.arange(1, n_s + 1, dtype=np.int64),
         rhs_up=np.concatenate([np.minimum(params.x_hi[:-1], params.x_hi[1:]), [params.x_hi[-1]]]),
         rhs_lo=np.concatenate([np.maximum(params.x_lo[:-1], params.x_lo[1:]), [params.x_lo[-1]]]),
@@ -699,10 +739,9 @@ def assemble(
     )
 
     # intra-interval envelopes: previous grid state plus the integrated
-    # envelope slope, zero branch ("a") and affine branch ("b")
+    # envelope slope, zero branch ("a") and affine branch ("b"); branch "b"
+    # integrates the breakpoint that holds at the interval end
     h_prev = sp.vstack([sp.csr_matrix((1, n_s + 1)), dd.H[:-1]]).tocsr()
-    e_prev = sp.eye(n_s, n_s + 1, k=0, format="csr")
-    e_cur = sp.eye(n_s, n_s + 1, k=1, format="csr")
     krow_env = np.arange(n_s, dtype=np.int64)
     if params.a == 0.0:       # keep 0 * inf out of the drift terms
         ax_lo = ax_hi = np.zeros(n_s)
@@ -710,16 +749,13 @@ def assemble(
         ax_lo, ax_hi = params.a * params.x_lo, params.a * params.x_hi
     drift_up = ax_lo + params.b * params.u   # over-approx uses the lower state bound
     drift_lo = ax_hi + params.b * params.u   # under-approx uses the upper state bound
-    # a held reference (T_RP = 0) keeps the start breakpoint through the
-    # interval end, so branch "b" integrates it instead of the end breakpoint
-    e_end = e_prev if ts.T_RP == 0 else e_cur
-    for branch, w_env, half_steps in (
-        ("env_a", (h_prev + 0.5 * c_t * e_prev).tocsr(), 1.0),
-        ("env_b", (h_prev + 0.5 * c_t * (e_prev + e_end)).tocsr(), 2.0),
+    for branch, slope, half_steps in (
+        ("env_a", 0.5 * c_t * e_prev, 1.0),
+        ("env_b", 0.5 * c_t * (e_prev + e_end), 2.0),
     ):
         scale = 0.5 * t_s_h * half_steps
         _emit_family(
-            acc, name=branch, W=w_env,
+            acc, name=branch, W=(h_prev + slope).tocsr(), nominal=z_prev + slope @ theta_coef,
             members=members_s, krow=krow_env,
             rhs_up=params.x_hi, rhs_lo=params.x_lo,
             const_up=f_prev * params.x0_max + gu_prev + scale * drift_up,
@@ -799,7 +835,7 @@ def _slope_program(prog: RobustProgram, objective_floor: float) -> tuple[RobustP
         members=np.arange(1, n_s + 1), krow=np.zeros(n_s, dtype=np.int64),
         rhs_up=zeros_s, rhs_lo=zeros_s, const_up=zeros_s, const_lo=zeros_s,
         dg_up=np.full(n_s, -1.0), dg_lo=np.ones(n_s), dg_col=t_col,
-        TH=m["TH"], theta_coef=m["theta_coef"], layout=prog.layout,
+        TH=m["TH"], nominal=m["diff"] @ m["theta_coef"], layout=prog.layout,
         f=1.0, eps=0.0, e_hat=0.0, c_t=0.0,
     )
     obj_nz = np.flatnonzero(prog.obj)
@@ -834,7 +870,8 @@ def solve(
     optimal reference (same objective value, minimal worst-case step).
 
     ``stats["certified"]`` is False when the returned point breaks the
-    program's rows or bounds by more than ``feasibility_tol``.  With
+    program's rows or bounds by more than ``feasibility_tol``; its state
+    columns are the exact ``H @ p`` of its policy, not the solver's.  With
     refinement, ``stats["first_stage_objective"]`` keeps the objective the
     refinement started from (it may give up a relative 1e-7 of it).
     """
@@ -847,7 +884,8 @@ def solve(
         "rows": prog.n_rows,
         "columns": prog.n_vars,
         "nonzeros": prog.A.nnz,
-        "epigraph_columns": prog.n_vars - prog.layout.n_policy,
+        "state_columns": len(prog.state_columns),
+        "epigraph_columns": prog.n_vars - prog.state_columns.stop,
     }
     if res.status != solvers.OPTIMAL:
         return Solution(status=res.status, objective=None, gamma=None,
@@ -873,6 +911,12 @@ def solve(
                         res2.status)
             stats["refined"] = False
 
+    # the state columns carry the solver's step-map residuals, which add up
+    # along the recursion; reset them to the condensed map of the returned
+    # policy so the check below bounds the true state violations
+    x = x.copy()
+    z = prog.state_columns
+    x[z] = prog.dd.H @ (prog.matrices["theta_coef"] @ x[:z.stop])
     violation = prog.max_violation(x)
     stats["max_violation"] = violation
     stats["certified"] = violation <= feasibility_tol

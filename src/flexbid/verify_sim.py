@@ -102,7 +102,8 @@ def average_signal(sig: ActivationSignal, ts: Timescales) -> np.ndarray:
     problems = sig.validate(counts)
     if problems:
         raise ValueError("; ".join(problems))
-    mids = 0.5 * (sig.values[:-1] + sig.values[1:])
+    mids = np.add(sig.values[:-1], sig.values[1:], dtype=float)
+    mids *= 0.5
     m = ts.T_S // ts.T_C
     return mids.reshape(counts.N_S, m).mean(axis=1)
 
@@ -146,13 +147,23 @@ def simulate_state(
         raise ValueError(f"power grid has {p_grid.size} samples, expected {n_c + 1}")
     delta_h = ts.T_C / SECONDS_PER_HOUR
     f, g, h1, h2 = discretize(params.a, params.b, params.c, delta_h)
-    u_fine = np.repeat(params.u, ts.T_S // ts.T_C)
-    drive = g * u_fine + h1 * p_grid[:-1] + h2 * p_grid[1:]
+    # drive = g*u + h1*p_k + h2*p_{k+1}, evaluated in that order in place:
+    # each fine-grid temporary costs fresh pages on a one-day grid
+    drive = np.repeat(np.asarray(params.u, dtype=float), ts.T_S // ts.T_C)
+    drive *= g
+    term = np.multiply(p_grid[:-1], h1)
+    drive += term
+    np.multiply(p_grid[1:], h2, out=term)
+    drive += term
+    del term
     x = np.empty(n_c + 1)
     x[0] = x0
     x[1:] = scipy.signal.lfilter([1.0], [1.0, -f], drive)
     if f != 0.0:
-        x[1:] += f ** np.arange(1, n_c + 1) * x0
+        decay = np.arange(1.0, n_c + 1)
+        np.power(f, decay, out=decay)
+        decay *= x0
+        x[1:] += decay
     return x
 
 
@@ -229,9 +240,12 @@ def check_feasibility(
     if profile.piecewise_constant:
         p_ref_fine = np.append(np.repeat(profile.p_ref[:-1], m), profile.p_ref[-1])
     else:
-        t_grid = np.arange(counts.N_C + 1) * float(ts.T_C)
+        t_grid = np.arange(counts.N_C + 1.0)
+        t_grid *= ts.T_C
         p_ref_fine = np.interp(t_grid, np.arange(counts.N_S + 1) * float(ts.T_S), profile.p_ref)
-    p_target = p_ref_fine + policy.gamma * sig.values
+        del t_grid
+    p_target = np.multiply(policy.gamma, sig.values, dtype=float)
+    p_target += p_ref_fine
 
     scales = {
         "power": _bound_scale(params.p_hi, params.p_lo),
@@ -241,24 +255,28 @@ def check_feasibility(
     }
     messages: list[str] = []
 
-    # power band (boundary instants: tighter of the adjacent intervals)
-    hi_pt = _pointwise_bounds(params.p_hi, m, np.minimum)
-    lo_pt = _pointwise_bounds(params.p_lo, m, np.maximum)
-    margins = {"power": float(min(np.min(hi_pt - p_target), np.min(p_target - lo_pt)))}
+    # each limit is checked per interval against the extremes over the
+    # interval's instants, its end instant included, so a boundary instant
+    # meets the tighter of its two intervals' bounds; rounded subtraction is
+    # monotone, so the margins equal the instant-by-instant ones exactly
+    def extremes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        windows = np.lib.stride_tricks.sliding_window_view(values, width)[::m]
+        return windows.max(axis=1), windows.min(axis=1)
+
+    p_max, p_min = extremes(p_target, m + 1)
+    margins = {"power": float(min(np.min(params.p_hi - p_max), np.min(p_min - params.p_lo)))}
 
     # ramp per control step, measured in kW per step; an infinite limit
     # leaves an infinite slack
-    dp = np.diff(p_target)
-    margins["ramp"] = float(min(np.min(np.repeat(params.r_hi * ts.T_C, m) - dp),
-                                np.min(dp - np.repeat(params.r_lo * ts.T_C, m))))
+    dp_max, dp_min = extremes(np.diff(p_target), m)
+    margins["ramp"] = float(min(np.min(params.r_hi * ts.T_C - dp_max),
+                                np.min(dp_min - params.r_lo * ts.T_C)))
 
     # state band for each admissible initial state; a zero-order-hold
     # reference holds each sample to the next instant while simulate_state
     # interpolates between samples, so the exact reference response adds a
     # filtered per-step drive difference h2*(p_k - p_{k+1}) on top (the
     # activation part stays piecewise linear by the signal semantics)
-    x_hi_pt = _pointwise_bounds(params.x_hi, m, np.minimum)
-    x_lo_pt = _pointwise_bounds(params.x_lo, m, np.maximum)
     x_corr = 0.0
     if profile.piecewise_constant:
         f, _, _, h2 = discretize(params.a, params.b, params.c, ts.T_C / SECONDS_PER_HOUR)
@@ -267,11 +285,15 @@ def check_feasibility(
             [1.0], [1.0, -f], h2 * (p_ref_fine[:-1] - p_ref_fine[1:]))
     margins["state"] = np.inf
     for x0 in sorted({params.x0_min, params.x0_max}):
-        x = simulate_state(params, ts, p_target, x0) + x_corr
-        up = float(np.min(x_hi_pt - x))
-        dn = float(np.min(x - x_lo_pt))
+        x = simulate_state(params, ts, p_target, x0)
+        x += x_corr
+        x_max, x_min = extremes(x, m + 1)
+        up = float(np.min(params.x_hi - x_max))
+        dn = float(np.min(x_min - params.x_lo))
         margins["state"] = min(margins["state"], up, dn)
         if min(up, dn) < -tol * scales["state"]:
+            x_hi_pt = _pointwise_bounds(params.x_hi, m, np.minimum)
+            x_lo_pt = _pointwise_bounds(params.x_lo, m, np.maximum)
             worst = int(np.argmin(np.minimum(x_hi_pt - x, x - x_lo_pt)))
             messages.append(
                 f"state limit violated from x0={x0:g} at t={worst * ts.T_C}s "
@@ -297,7 +319,11 @@ def _delivered_energy(
     Trapezoid for interpolated references; left-endpoint rectangle for
     zero-order-hold references, matching how their slot energy is defined.
     """
-    seg = p_fine[:-1] if rectangle else 0.5 * (p_fine[:-1] + p_fine[1:])
+    if rectangle:
+        seg = p_fine[:-1]
+    else:
+        seg = np.add(p_fine[:-1], p_fine[1:], dtype=float)
+        seg *= 0.5
     per_slot = seg.reshape(counts.N_ID, -1).sum(axis=1)
     return per_slot * (ts.T_C / SECONDS_PER_HOUR)
 

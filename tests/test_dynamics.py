@@ -10,7 +10,9 @@ Proves:
      dense tau grid, and the activation carry-over bound contains the
      integral for random admissible signal shapes.
   5. Stacked horizon matrices (F, G, H, K) reproduce the step recursion,
-     and the hold variant reproduces the constant-drive recursion.
+     and the hold variant reproduces the constant-drive recursion; the
+     CSR arrays equal those of a matrix summed from one COO triple per
+     term.
   6. SystemParams.constant broadcasting and validate() error reporting.
 """
 
@@ -20,6 +22,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse as sp
 
 from flexbid import SystemParams, build_state_matrices, discretize, epsilon_bound
 from flexbid.dynamics import activation_integral_bounds, discretize_scales
@@ -212,6 +215,36 @@ def test_hold_matrices_equal_constant_drive_recursion(a):
     stacked = dd.F * x0 + dd.G @ u + dd.H @ p
     assert np.allclose(stacked, x_expected, atol=1e-12)
     assert dd.H[:, -1].count_nonzero() == 0
+
+
+@pytest.mark.parametrize("hold", [False, True])
+@pytest.mark.parametrize("a", [0.0, -0.02])
+def test_matrices_match_coo_built_reference(a, hold):
+    n, t = 11, 1.0 / 12
+    dd = build_state_matrices(a, 0.7, 1.1, t, n, hold=hold)
+    powers = dd.f ** np.arange(n + 1)
+    k_terms, h_terms = [], []
+    for s in range(n):
+        for j in range(s + 1):
+            k_terms.append((s, j, powers[s - j]))
+            if hold:
+                h_terms.append((s, j, powers[s - j] * (dd.h1 + dd.h2)))
+            else:
+                h_terms.append((s, j, powers[s - j] * dd.h1))
+                h_terms.append((s, j + 1, powers[s - j] * dd.h2))
+
+    def coo(terms, shape):
+        rows, cols, vals = zip(*terms)
+        mat = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        mat.sum_duplicates()
+        return mat
+
+    K = coo(k_terms, (n, n))
+    for got, want in ((dd.K, K), (dd.G, (dd.g * K).tocsr()), (dd.H, coo(h_terms, (n, n + 1)))):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_matrix_shapes_and_triangularity():

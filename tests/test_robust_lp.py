@@ -21,18 +21,25 @@ Proves:
   8. Shape errors and multi-period tenders are rejected.
   9. Each distinct absolute-value block gets exactly one epigraph column,
      and every such column enters a family row; ``solve`` reports the
-     nonzero and epigraph-column counts.
+     nonzero, state-column and epigraph-column counts.
+ 10. The nominal state columns solve to the condensed map H @ p of the
+     decoded policy's nominal reference, ramped, held, lossy with a
+     baseload, with an uncertain start and adjustable (and over seven days
+     behind FLEXBID_EXTENDED); the returned point carries that map itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import os
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
+import flexbid
 from flexbid import (
     ObjectiveSpec,
     PolicyStructure,
@@ -48,11 +55,13 @@ from flexbid import (
     vertex_oracle,
 )
 from flexbid import solvers
+from flexbid.cli import load_problem
 from flexbid.robust_lp import EXPECTED_PROFIT, MAX_CAPACITY, _slope_program
 
 MIN = 60
 HOUR = 3600
 DAY = 86400
+CONFIG_DIR = pathlib.Path(flexbid.__file__).parent / "configs"
 
 
 def battery(n_s, **kw) -> SystemParams:
@@ -339,6 +348,25 @@ def test_row_tags_and_var_names():
     names = [prog.var_name(v) for v in (0, prog.layout.gamma, prog.n_vars - 1)]
     assert names[1] == "gamma"
 
+    # one dyn.hi and one dyn.lo row per interval: z_s - f*z_{s-1} - (step
+    # of the nominal reference) = 0, the lower row the upper one negated
+    z = prog.state_columns
+    assert len(z) == counts.N_S and z.start == prog.layout.n_policy
+    assert [prog.var_name(v) for v in (z.start, z.stop - 1, z.stop)] == [
+        "z[1]", f"z[{counts.N_S}]", "aux[1]"]
+    all_tags = [prog.row_tag(j) for j in range(prog.n_rows)]
+    for kind in ("dyn.hi", "dyn.lo"):
+        assert [t for t in all_tags if t.startswith(kind + "[")] == [
+            f"{kind}[{s}]" for s in range(1, counts.N_S + 1)]
+    hi = all_tags.index("dyn.hi[2]")
+    lo = all_tags.index("dyn.lo[2]")
+    assert upper[hi] and not upper[lo]
+    assert prog.rhs[hi] == prog.rhs[lo] == 0.0
+    assert (prog.A[hi] + prog.A[lo]).count_nonzero() == 0
+    assert prog.A[hi, z.start + 1] == 1.0
+    assert prog.A[hi, z.start] == -prog.dd.f
+    assert prog.A[hi][:, z.start + 2:].nnz == 0
+
 
 # ---------------------------------------------------------------------------
 # required ramp and refinement
@@ -408,7 +436,9 @@ def test_gamma_matches_objective_for_capacity():
     assert sol.stats["rows"] == prog.n_rows
     assert sol.stats["columns"] == prog.n_vars
     assert sol.stats["nonzeros"] == prog.A.nnz
-    assert sol.stats["epigraph_columns"] == prog.n_vars - prog.layout.n_policy > 0
+    assert sol.stats["state_columns"] == prog.counts.N_S
+    assert sol.stats["epigraph_columns"] == (
+        prog.n_vars - prog.layout.n_policy - prog.counts.N_S) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +450,7 @@ def test_each_distinct_absolute_value_block_has_one_epigraph_column(caplog):
     with caplog.at_level(logging.INFO, logger="flexbid.robust_lp"):
         prog = assemble(params, ts, structure)
     n_policy = prog.layout.n_policy
+    lam_cols = [v for v in range(n_policy, prog.n_vars) if v not in prog.state_columns]
     A = prog.A.tocsr()
     kinds = np.array([prog.row_tag(j).split("[")[0] for j in range(prog.n_rows)])
 
@@ -434,13 +465,67 @@ def test_each_distinct_absolute_value_block_has_one_epigraph_column(caplog):
         signature = (row.indices[~aux][order].tobytes(), row.data[~aux][order].tobytes())
         assert lam not in signature_of
         signature_of[lam] = signature
-    assert sorted(signature_of) == list(range(n_policy, prog.n_vars))
+    assert sorted(signature_of) == lam_cols
     # no two columns bound the same block
     assert len(set(signature_of.values())) == len(signature_of)
     # every column enters some family row
     family = ~np.char.startswith(kinds, "epi.")
-    assert np.all(A[family][:, n_policy:].getnnz(axis=0) > 0)
+    assert np.all(A[family][:, lam_cols].getnnz(axis=0) > 0)
 
     blocks, columns = map(int, re.search(
         r"(\d+) absolute-value blocks share (\d+) epigraph columns", caplog.text).groups())
-    assert columns == prog.n_vars - n_policy < blocks
+    assert columns == len(lam_cols) < blocks
+
+
+# ---------------------------------------------------------------------------
+# nominal state columns
+
+
+def config_program(name, **ts_changes):
+    prob = load_problem(str(CONFIG_DIR / name))
+    ts = dataclasses.replace(prob.ts, **ts_changes)
+    return assemble(prob.params, ts, prob.structure, prob.objective)
+
+
+def made_program(*args, **kw):
+    ts, _, params, structure = make(*args, **kw)
+    return assemble(params, ts, structure)
+
+
+EXACTNESS_CASES = [
+    pytest.param(lambda: config_program("powerwall_1day.cfg"), 7.5 / 24.0, id="1day"),
+    pytest.param(lambda: config_program("powerwall_1day.cfg", T_RP=0), 7.5 / 24.0,
+                 id="1day_held"),
+    pytest.param(lambda: config_program("powerwall_2day.cfg"), 7.5 / 48.0, id="2day"),
+    pytest.param(lambda: made_program(4, id_lb=1, a=-0.02, b=0.7, u=0.3), None,
+                 id="lossy_baseload"),
+    pytest.param(lambda: made_program(24, t_c=5 * MIN, x0_min=3.0, x0_max=12.0), 3.0 / 24.0,
+                 id="uncertain_x0"),
+    pytest.param(lambda: made_program(4, id_lb=1), None, id="lead1h"),
+]
+if os.environ.get("FLEXBID_EXTENDED"):
+    EXACTNESS_CASES.append(
+        pytest.param(lambda: config_program("powerwall_7day.cfg"), None, id="7day"))
+
+
+@pytest.mark.parametrize("build, gamma", EXACTNESS_CASES)
+def test_state_columns_equal_the_condensed_map(build, gamma):
+    prog = build()
+    sol = solve(prog)
+    assert sol.status == "optimal" and sol.stats["certified"]
+    if gamma is not None:
+        assert sol.gamma == pytest.approx(gamma, abs=1e-9)
+    mats = build_market_matrices(prog.ts, prog.counts)
+    _, nominal = reference_affine_map(sol.policy, mats["M"], mats["R"],
+                                      mats["A_DA"], mats["A_ID"])
+    want = prog.dd.H @ nominal
+    scale = max(1.0, np.max(np.abs(want)))
+    # the returned point carries the condensed states of its policy ...
+    assert np.max(np.abs(sol.x[prog.state_columns] - want)) <= 1e-12 * scale
+    # ... and the solver's own state columns follow them through the step map
+    raw = solvers.solve_lp(prog.as_lp_data())
+    policy = prog.decode_policy(raw.x)
+    _, nominal = reference_affine_map(policy, mats["M"], mats["R"], mats["A_DA"], mats["A_ID"])
+    got = raw.x[prog.state_columns]
+    want = prog.dd.H @ nominal
+    assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))

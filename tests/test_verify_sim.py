@@ -24,6 +24,8 @@ Proves:
   8. Infinite state limits on one side leave the other side checked.
   9. The pointwise bounds match "the tighter of the intervals on either
      side of each instant" for random bounds, infinite ones included.
+ 10. Integer-typed signal and baseload arrays give the same report as
+     their float copies.
 """
 
 from __future__ import annotations
@@ -298,6 +300,25 @@ def test_inflated_gamma_fails_under_sustained_activation(solved_2h):
     # the full buffer is consumed at the optimum, so at least one
     # sustained direction must break once gamma is inflated
     assert failures >= 1
+
+
+@pytest.mark.parametrize("gamma", [None, 1], ids=["solved", "integer_gamma"])
+def test_integer_signal_and_baseload_match_their_float_copies(solved_2h, gamma):
+    ts, counts, params, sol = solved_2h
+    steps = np.arange(counts.N_C + 1) // 7
+    values = np.where(steps % 3 == 0, 0, np.where(steps % 2 == 0, 1, -1))
+    values[0] = values[1]
+    u = np.where(np.arange(counts.N_S) % 2 == 0, 1, -1)
+    reports = [
+        check_feasibility(
+            sol.policy if gamma is None else dataclasses.replace(sol.policy, gamma=dtype(gamma)),
+            ActivationSignal(values=values.astype(dtype), T_C=ts.T_C),
+            dataclasses.replace(params, u=u.astype(dtype)), ts)
+        for dtype in (int, float)
+    ]
+    assert reports[0].feasible == reports[1].feasible
+    assert reports[0].margins == reports[1].margins
+    assert reports[0].messages == reports[1].messages
 
 
 def test_lossy_adjustable_policy_certifies_and_is_tight():
