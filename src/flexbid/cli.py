@@ -91,8 +91,6 @@ def parse_number(text: str, unit: str | None = None) -> float:
     cleaned = text.strip()
     if unit and cleaned.endswith(unit):
         cleaned = cleaned[: -len(unit)].strip()
-    elif unit is None:
-        pass
     try:
         return float(cleaned)
     except ValueError:
@@ -432,9 +430,7 @@ def _suite_entry(entry) -> dict:
         prog = robust_lp.assemble(problem.params, problem.ts, problem.structure,
                                   problem.objective)
         sol = robust_lp.solve(prog, backend=backend, refine_ramp=refine)
-    except ConfigError as exc:
-        return {"name": name, "status": "config_error", "error": str(exc)}
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         return {"name": name, "status": "config_error", "error": str(exc)}
     out = {"name": name, "status": sol.status}
     if sol.status == solvers.OPTIMAL:
@@ -555,10 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=getattr(logging, args.log_level))
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

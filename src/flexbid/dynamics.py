@@ -174,18 +174,13 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DiscreteDynamics:
-    """Step coefficients plus the stacked horizon matrices.
+    """Step coefficients of the exact step map over an ``n``-interval horizon.
 
-    With x = (x_1..x_N), u = (u_1..u_N), p = (p_0..p_N) breakpoints:
+        x_s = f*x_{s-1} + g*u_s + h1*p_{s-1} + h2*p_s + gamma*v_s
 
-        x = F*x0 + G @ u + H @ p + gamma * K @ v
-
-    F[s] = f^{s+1} (1-based power s+1 at row index s), K lower triangular
-    with K[s, i] = f^{s-i}, G = g*K, and H combines h1 (weight of the
-    interval's start breakpoint) with h2 (end breakpoint) propagated by f.
-    When the reference holds its start value through each interval instead
-    of interpolating (``hold=True``), H carries h1 + h2 on the start
-    breakpoint alone, which is the exact response to a constant drive.
+    with eps and e_a_tau_hat bounding the carry-over v_s (see
+    :func:`epsilon_bound`) and F[s] = f^{s+1}, the weight of x0 in x_{s+1}
+    (0-based row s).  It holds no horizon matrix: callers run the step map.
     """
 
     f: float
@@ -197,22 +192,49 @@ class DiscreteDynamics:
     t_step: float
     n: int
     F: np.ndarray
+
+
+@dataclass(frozen=True)
+class StackedDynamics(DiscreteDynamics):
+    """Step coefficients plus the stacked horizon matrices.
+
+    With x = (x_1..x_N), u = (u_1..u_N), p = (p_0..p_N) breakpoints:
+
+        x = F*x0 + G @ u + H @ p + gamma * K @ v
+
+    K lower triangular with K[s, i] = f^{s-i}, G = g*K, and H combines h1
+    (weight of the interval's start breakpoint) with h2 (end breakpoint)
+    propagated by f.  When the reference holds its start value through each
+    interval instead of interpolating (``hold=True``), H carries h1 + h2 on
+    the start breakpoint alone, which is the exact response to a constant
+    drive.  These N^2-sized maps are the reference the step map is checked
+    against; the program itself never builds them.
+    """
+
     G: sp.csr_matrix
     H: sp.csr_matrix
     K: sp.csr_matrix
 
 
+def _step_dynamics(a: float, b: float, c: float, t_step: float, n: int) -> DiscreteDynamics:
+    f, g, h1, h2 = discretize(a, b, c, t_step)
+    eps, e_hat = epsilon_bound(a, t_step)
+    return DiscreteDynamics(
+        f=f, g=g, h1=h1, h2=h2, eps=eps, e_a_tau_hat=e_hat,
+        t_step=t_step, n=n, F=f ** np.arange(1, n + 1),
+    )
+
+
 def build_state_matrices(
     a: float, b: float, c: float, t_step: float, n: int, hold: bool = False
-) -> DiscreteDynamics:
+) -> StackedDynamics:
     """Stack the exact step map over ``n`` intervals (t_step in hours).
 
     ``hold=True`` integrates the reference as a zero-order hold of each
     interval's start breakpoint (the last breakpoint never enters a state).
     """
-    f, g, h1, h2 = discretize(a, b, c, t_step)
-    eps, e_hat = epsilon_bound(a, t_step)
-    powers = np.ones(n + 1) if f == 1.0 else f ** np.arange(n + 1)
+    dd = _step_dynamics(a, b, c, t_step, n)
+    powers = dd.f ** np.arange(n + 1)
 
     # K[s, i] = f^(s-i) for 0 <= i <= s (0-based), shape (n, n), built in CSR
     # directly: row s holds columns 0..s and starts at entry s(s+1)/2
@@ -221,11 +243,11 @@ def build_state_matrices(
     cols = np.arange(ptr[-1]) - ptr[rows]
     k_data = powers[rows - cols]
     K = sp.csr_matrix((k_data, cols, ptr), shape=(n, n))
-    G = (g * K).tocsr()
+    G = (dd.g * K).tocsr()
 
     if hold:
         # H[s, j] = f^(s-j)*(h1 + h2) for j <= s: constant drive per interval
-        H = sp.csr_matrix((k_data * (h1 + h2), cols, ptr), shape=(n, n + 1))
+        H = sp.csr_matrix((k_data * (dd.h1 + dd.h2), cols, ptr), shape=(n, n + 1))
     else:
         # H[s, j]: breakpoint j of p enters state s+1 (0-based row s) with
         # f^(s-j)*h1 for j <= s and f^(s+1-j)*h2 for 1 <= j <= s+1, so row s
@@ -236,24 +258,17 @@ def build_state_matrices(
         h_cols[pos] = cols
         h_cols[pos + 1] = cols + 1
         h_data = np.zeros(ptr[-1] + n)
-        h_data[pos] = k_data * h1
-        h_data[pos + 1] += k_data * h2
+        h_data[pos] = k_data * dd.h1
+        h_data[pos + 1] += k_data * dd.h2
         H = sp.csr_matrix((h_data, h_cols, ptr + np.arange(n + 1)), shape=(n, n + 1))
 
-    return DiscreteDynamics(
-        f=f, g=g, h1=h1, h2=h2, eps=eps, e_a_tau_hat=e_hat,
-        t_step=t_step, n=n, F=powers[1:].copy(), G=G, H=H, K=K,
-    )
+    return StackedDynamics(**vars(dd), G=G, H=H, K=K)
 
 
 def discretize_scales(params: SystemParams, ts: Timescales, n_s: int) -> DiscreteDynamics:
-    """Convenience wrapper: build the horizon matrices on the T_S grid.
+    """Step coefficients of ``params`` on the T_S grid, for ``n_s`` intervals.
 
-    A zero ramp window means the reference is a left-held step schedule
-    rather than an interpolated one, so the state map switches to the
-    zero-order-hold quadrature to integrate what is actually delivered.
+    Whether the reference is interpolated or held (``T_RP == 0``) changes
+    only how the breakpoints drive the step, which the caller decides.
     """
-    return build_state_matrices(
-        params.a, params.b, params.c, ts.T_S / SECONDS_PER_HOUR, n_s,
-        hold=(ts.T_RP == 0),
-    )
+    return _step_dynamics(params.a, params.b, params.c, ts.T_S / SECONDS_PER_HOUR, n_s)

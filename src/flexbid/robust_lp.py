@@ -24,11 +24,14 @@ as an upper and a lower row):
     z_s = f*z_{s-1} + h1*p_{s-1} + h2*p_s,   z_0 = 0,
 
 with (h1 + h2)*p_{s-1} for a held reference (T_RP = 0).  Since f > 0 the
-rows fix z = H @ p uniquely, so the projection onto the policy columns is
-the condensed program's, with no rounding or tolerance involved.  The
-state and envelope rows read z_s or z_{s-1} plus O(1) breakpoint terms
-instead of a dense row of H @ theta_coef; the condensed map H now enters
-only the absolute-value blocks, which are empty without Q entries.
+rows fix z = H @ p uniquely, where H is the condensed map of the stacked
+recursion, so the projection onto the policy columns is the condensed
+program's, with no rounding or tolerance involved.  The state and
+envelope rows read z_s or z_{s-1} plus O(1) breakpoint terms instead of a
+dense row of H @ theta_coef.  H itself is never built: the same step map,
+run down the Q-entry columns of Theta, gives the absolute-value blocks
+H @ Theta (empty without Q entries), and run on a solved policy's
+reference it gives that point's states.
 
 Every row, including these epigraph rows and the lower row of each
 family, is stored as ``A x <= rhs``: ``>=`` rows are written negated.
@@ -74,6 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.signal import lfilter
 
 from . import solvers
 from .dynamics import DiscreteDynamics, SystemParams, discretize_scales
@@ -464,11 +468,16 @@ def _epigraph_columns(
     return col[inverse], np.asarray(fresh, dtype=np.int64)
 
 
+def _propagate(f: float, drive: np.ndarray) -> np.ndarray:
+    """States of the step map x_s = f*x_{s-1} + drive_s from x_0 = 0, down axis 0."""
+    return lfilter([1.0], [1.0, -f], drive, axis=0)
+
+
 def _emit_family(
     acc: _Accumulator,
     *,
     name: str,
-    W: sp.spmatrix,
+    blocks: sp.spmatrix,
     members: np.ndarray,
     krow: np.ndarray,
     rhs_up: np.ndarray,
@@ -477,7 +486,6 @@ def _emit_family(
     const_lo: np.ndarray,
     dg_up: np.ndarray,
     dg_lo: np.ndarray,
-    TH: sp.spmatrix,
     nominal: sp.spmatrix,
     layout: VariableLayout,
     f: float,
@@ -488,8 +496,9 @@ def _emit_family(
 ) -> None:
     """Emit epigraph blocks and the upper/lower rows of one family.
 
-    ``W`` maps breakpoint space to the family rows and so shapes their
-    absolute-value blocks ``W @ TH``; ``nominal`` holds the rows' nominal
+    ``blocks`` holds the rows' absolute-value blocks over the Q entries,
+    flat column i * n_q + v as in ``TH`` (block i of row r is the
+    coefficient of w_tilde_i); ``nominal`` holds the rows' nominal
     (activation-free) part over the program's columns.  ``members`` carries
     the 1-based member index per row (tagging only), ``krow[r]`` the number of
     activation carry-over terms entering row r, ``c_t`` the product
@@ -498,7 +507,7 @@ def _emit_family(
     Every row is written as ``row <= rhs``: lower rows and epigraph rows
     come out negated.
     """
-    n_fam = W.shape[0]
+    n_fam = blocks.shape[0]
     n_q = layout.n_q
     gamma_col = layout.gamma
     dg_col = gamma_col if dg_col is None else dg_col
@@ -511,7 +520,7 @@ def _emit_family(
 
     # --- absolute-value blocks -------------------------------------------
     if n_q:
-        C = (W @ TH).tocoo()
+        C = blocks.tocoo()
         ent_r, ent_flat, ent_val = C.row, C.col, C.data
         keep = live[ent_r]
         ent_r, ent_flat, ent_val = ent_r[keep], ent_flat[keep], ent_val[keep]
@@ -523,7 +532,7 @@ def _emit_family(
         ent_v = np.empty(0, dtype=np.int64)
         ent_val = np.empty(0)
 
-    key = ent_r.astype(np.int64) * (TH.shape[1] // n_q + 1 if n_q else 1) + ent_i
+    key = ent_r.astype(np.int64) * (blocks.shape[1] // n_q + 1 if n_q else 1) + ent_i
     order = np.lexsort((ent_v, key))          # by block, then by policy column
     ent_r, ent_i, ent_v, ent_val, key = (
         ent_r[order], ent_i[order], ent_v[order], ent_val[order], key[order])
@@ -682,11 +691,11 @@ def assemble(
     dd = discretize_scales(params, ts, n_s)
     t_s_h = ts.T_S / SECONDS_PER_HOUR
     c_t = params.c * t_s_h
-    gu = np.asarray(dd.G @ params.u).ravel()
+    gu = _propagate(dd.f, dd.g * params.u)
     f_prev = np.concatenate([[1.0], dd.F[:-1]])
     gu_prev = np.concatenate([[0.0], gu[:-1]])
 
-    common = dict(TH=TH, layout=layout, f=dd.f, eps=dd.eps, e_hat=dd.e_a_tau_hat, c_t=c_t)
+    common = dict(layout=layout, f=dd.f, eps=dd.eps, e_hat=dd.e_a_tau_hat, c_t=c_t)
     members_bp = np.arange(n_s + 1)
     members_s = np.arange(1, n_s + 1)
     zeros_bp = np.zeros(n_s + 1)
@@ -697,16 +706,17 @@ def assemble(
     # the interval end, so it drives the whole step with (h1 + h2)*p_{s-1}.
     e_prev = sp.eye(n_s, n_s + 1, k=0, format="csr")
     e_end = e_prev if ts.T_RP == 0 else sp.eye(n_s, n_s + 1, k=1, format="csr")
+    step = mats["step"] = (dd.h1 * e_prev + dd.h2 * e_end).tocsr()
     z_cur = sp.eye(n_s, n_cols, k=z_first, format="csr")
     z_prev = sp.vstack([sp.csr_matrix((1, n_cols)), z_cur[:-1]]).tocsr()
-    dyn = (z_cur - dd.f * z_prev - (dd.h1 * e_prev + dd.h2 * e_end) @ theta_coef).tocoo()
+    dyn = (z_cur - dd.f * z_prev - step @ theta_coef).tocoo()
     for kind, sgn in (("dyn.hi", 1.0), ("dyn.lo", -1.0)):
         acc.add_rows(dyn.row, dyn.col, sgn * dyn.data, zeros_s,
                      np.full(n_s, _KIND_CODE[kind]), members_s, np.full(n_s, -1))
 
     # power: reference +/- gamma within the tighter adjacent interval bounds
     _emit_family(
-        acc, name="power", W=sp.eye(n_s + 1, format="csr"), nominal=theta_coef,
+        acc, name="power", blocks=TH, nominal=theta_coef,
         members=members_bp, krow=np.zeros(n_s + 1, dtype=np.int64),
         rhs_up=_adjacent(params.p_hi, np.minimum),
         rhs_lo=_adjacent(params.p_lo, np.maximum),
@@ -718,7 +728,7 @@ def assemble(
     # ramp: reference step plus activation swing within r * T_S
     swing = 2.0 * ts.T_S / ts.T_C
     _emit_family(
-        acc, name="ramp", W=diff, nominal=diff @ theta_coef,
+        acc, name="ramp", blocks=diff @ TH, nominal=diff @ theta_coef,
         members=members_s, krow=np.zeros(n_s, dtype=np.int64),
         rhs_up=params.r_hi * ts.T_S, rhs_lo=params.r_lo * ts.T_S,
         const_up=zeros_s, const_lo=zeros_s,
@@ -726,9 +736,15 @@ def assemble(
         **common,
     )
 
-    # grid states within the tighter adjacent interval bounds
+    # grid states within the tighter adjacent interval bounds; their blocks
+    # are the step map run down TH's nonzero columns (the others stay zero)
+    drive = (step @ TH).tocsc()
+    th_cols = np.flatnonzero(np.diff(drive.indptr))
+    HT = _propagate(dd.f, drive[:, th_cols].toarray())
+    row, col = np.nonzero(HT)
+    HT = sp.csr_matrix((HT[row, col], (row, th_cols[col])), shape=drive.shape)
     _emit_family(
-        acc, name="state", W=dd.H, nominal=z_cur,
+        acc, name="state", blocks=HT, nominal=z_cur,
         members=members_s, krow=np.arange(1, n_s + 1, dtype=np.int64),
         rhs_up=np.concatenate([np.minimum(params.x_hi[:-1], params.x_hi[1:]), [params.x_hi[-1]]]),
         rhs_lo=np.concatenate([np.maximum(params.x_lo[:-1], params.x_lo[1:]), [params.x_lo[-1]]]),
@@ -741,7 +757,7 @@ def assemble(
     # intra-interval envelopes: previous grid state plus the integrated
     # envelope slope, zero branch ("a") and affine branch ("b"); branch "b"
     # integrates the breakpoint that holds at the interval end
-    h_prev = sp.vstack([sp.csr_matrix((1, n_s + 1)), dd.H[:-1]]).tocsr()
+    ht_prev = sp.vstack([sp.csr_matrix((1, HT.shape[1])), HT[:-1]]).tocsr()
     krow_env = np.arange(n_s, dtype=np.int64)
     if params.a == 0.0:       # keep 0 * inf out of the drift terms
         ax_lo = ax_hi = np.zeros(n_s)
@@ -755,7 +771,7 @@ def assemble(
     ):
         scale = 0.5 * t_s_h * half_steps
         _emit_family(
-            acc, name=branch, W=(h_prev + slope).tocsr(), nominal=z_prev + slope @ theta_coef,
+            acc, name=branch, blocks=ht_prev + slope @ TH, nominal=z_prev + slope @ theta_coef,
             members=members_s, krow=krow_env,
             rhs_up=params.x_hi, rhs_lo=params.x_lo,
             const_up=f_prev * params.x0_max + gu_prev + scale * drift_up,
@@ -831,11 +847,11 @@ def _slope_program(prog: RobustProgram, objective_floor: float) -> tuple[RobustP
     t_col = acc.add_vars(1)
     zeros_s = np.zeros(n_s)
     _emit_family(
-        acc, name="slope", W=m["diff"],
+        acc, name="slope", blocks=m["diff"] @ m["TH"],
         members=np.arange(1, n_s + 1), krow=np.zeros(n_s, dtype=np.int64),
         rhs_up=zeros_s, rhs_lo=zeros_s, const_up=zeros_s, const_lo=zeros_s,
         dg_up=np.full(n_s, -1.0), dg_lo=np.ones(n_s), dg_col=t_col,
-        TH=m["TH"], nominal=m["diff"] @ m["theta_coef"], layout=prog.layout,
+        nominal=m["diff"] @ m["theta_coef"], layout=prog.layout,
         f=1.0, eps=0.0, e_hat=0.0, c_t=0.0,
     )
     obj_nz = np.flatnonzero(prog.obj)
@@ -871,9 +887,10 @@ def solve(
 
     ``stats["certified"]`` is False when the returned point breaks the
     program's rows or bounds by more than ``feasibility_tol``; its state
-    columns are the exact ``H @ p`` of its policy, not the solver's.  With
-    refinement, ``stats["first_stage_objective"]`` keeps the objective the
-    refinement started from (it may give up a relative 1e-7 of it).
+    columns are recomputed from its policy by the step map, not taken from
+    the solver.  With refinement, ``stats["first_stage_objective"]`` keeps
+    the objective the refinement started from (it may give up a relative
+    1e-7 of it).
     """
     res = solvers.solve_lp(prog.as_lp_data(), backend=backend)
     stats = {
@@ -912,11 +929,12 @@ def solve(
             stats["refined"] = False
 
     # the state columns carry the solver's step-map residuals, which add up
-    # along the recursion; reset them to the condensed map of the returned
+    # along the recursion; reset them to the step map of the returned
     # policy so the check below bounds the true state violations
     x = x.copy()
     z = prog.state_columns
-    x[z] = prog.dd.H @ (prog.matrices["theta_coef"] @ x[:z.stop])
+    m = prog.matrices
+    x[z] = _propagate(prog.dd.f, m["step"] @ (m["theta_coef"] @ x[:z.stop]))
     violation = prog.max_violation(x)
     stats["max_violation"] = violation
     stats["certified"] = violation <= feasibility_tol

@@ -26,6 +26,10 @@ Proves:
      decoded policy's nominal reference, ramped, held, lossy with a
      baseload, with an uncertain start and adjustable (and over seven days
      behind FLEXBID_EXTENDED); the returned point carries that map itself.
+ 11. The absolute-value blocks that assembly builds by running the step
+     map down Theta's columns equal the condensed products H @ Theta (state
+     rows) and (H shifted one interval + envelope slope) @ Theta (envelope
+     rows), lossless and lossy, ramped and held.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import flexbid
 from flexbid import (
@@ -48,13 +53,14 @@ from flexbid import (
     Timescales,
     assemble,
     build_market_matrices,
+    build_state_matrices,
     derive_counts,
     reference_affine_map,
     required_ramp,
     solve,
     vertex_oracle,
 )
-from flexbid import solvers
+from flexbid import robust_lp, solvers
 from flexbid.cli import load_problem
 from flexbid.robust_lp import EXPECTED_PROFIT, MAX_CAPACITY, _slope_program
 
@@ -515,10 +521,12 @@ def test_state_columns_equal_the_condensed_map(build, gamma):
     assert sol.status == "optimal" and sol.stats["certified"]
     if gamma is not None:
         assert sol.gamma == pytest.approx(gamma, abs=1e-9)
+    H = build_state_matrices(prog.params.a, prog.params.b, prog.params.c, prog.dd.t_step,
+                             prog.counts.N_S, hold=prog.ts.T_RP == 0).H
     mats = build_market_matrices(prog.ts, prog.counts)
     _, nominal = reference_affine_map(sol.policy, mats["M"], mats["R"],
                                       mats["A_DA"], mats["A_ID"])
-    want = prog.dd.H @ nominal
+    want = H @ nominal
     scale = max(1.0, np.max(np.abs(want)))
     # the returned point carries the condensed states of its policy ...
     assert np.max(np.abs(sol.x[prog.state_columns] - want)) <= 1e-12 * scale
@@ -527,5 +535,36 @@ def test_state_columns_equal_the_condensed_map(build, gamma):
     policy = prog.decode_policy(raw.x)
     _, nominal = reference_affine_map(policy, mats["M"], mats["R"], mats["A_DA"], mats["A_ID"])
     got = raw.x[prog.state_columns]
-    want = prog.dd.H @ nominal
+    want = H @ nominal
     assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("t_rp", [10 * MIN, 0], ids=["interpolated", "held"])
+@pytest.mark.parametrize("a", [0.0, -0.02])
+def test_state_blocks_equal_the_condensed_map(monkeypatch, a, t_rp):
+    seen = {}
+    emit = robust_lp._emit_family
+
+    def record(acc, **kw):
+        seen[kw["name"]] = kw["blocks"]
+        emit(acc, **kw)
+
+    monkeypatch.setattr(robust_lp, "_emit_family", record)
+    ts, counts, params, structure = make(4, id_lb=1, t_rp=t_rp, a=a)
+    prog = assemble(params, ts, structure)
+
+    n_s = counts.N_S
+    H = build_state_matrices(a, params.b, params.c, prog.dd.t_step, n_s, hold=t_rp == 0).H
+    h_prev = sp.vstack([sp.csr_matrix((1, n_s + 1)), H[:-1]])
+    e_prev = sp.eye(n_s, n_s + 1)
+    e_end = e_prev if t_rp == 0 else sp.eye(n_s, n_s + 1, k=1)
+    half = 0.5 * params.c * prog.dd.t_step
+    want = {
+        "state": H,
+        "env_a": h_prev + half * e_prev,
+        "env_b": h_prev + half * (e_prev + e_end),
+    }
+    for name, W in want.items():
+        ref = (W @ prog.matrices["TH"]).toarray()
+        assert np.count_nonzero(ref) > 0
+        np.testing.assert_allclose(seen[name].toarray(), ref, rtol=1e-12, atol=0, err_msg=name)
