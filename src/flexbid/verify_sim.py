@@ -10,10 +10,18 @@ than tautology.
 Signals are piecewise linear on the control grid (length N_C + 1 values,
 all within [-1, 1]).  Generators pin the first value to the second so a
 sustained signal averages to exactly +/-1 on every metering interval.
+
+A check does only per-signal work.  What depends on the grid alone (the
+interval counts, the market maps M, R, A_DA and A_ID, and the control
+instants' offsets within a settlement interval) is built once per frozen
+``Timescales`` and cached read-only; it is verification's own copy, never
+the dict that assembly extends.  The decay powers f**k of the state
+simulation are cached for the latest (f, N_C) only.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -25,7 +33,7 @@ from . import solvers
 from .dynamics import SystemParams, discretize
 from .market_time import SECONDS_PER_HOUR, IndexCounts, Timescales, derive_counts
 from .policy import AffinePolicy, PolicyStructure, mask_entries, realized_schedules
-from .reference_map import BaselineSchedule, reference_from_baseline
+from .reference_map import BaselineSchedule, ReferenceProfile, reference_from_baseline
 from .robust_lp import (EXPECTED_PROFIT, MAX_CAPACITY, ObjectiveSpec,
                         VariableLayout, build_market_matrices)
 
@@ -50,7 +58,8 @@ class ActivationSignal:
                 f"signal has {self.values.size} samples, expected N_C + 1 = {counts.N_C + 1}")
         if problems:
             return problems
-        if np.max(np.abs(self.values), initial=0.0) > 1.0 + 1e-9:
+        band = 1.0 + 1e-9
+        if np.max(self.values, initial=0.0) > band or np.min(self.values, initial=0.0) < -band:
             problems.append("signal exceeds the normalized band [-1, 1]")
         return problems
 
@@ -96,16 +105,55 @@ def gen_signal(kind: str, ts: Timescales, seed: int | None = None, **kw) -> Acti
     return sig
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """Signal-independent maps of one timescale set; every array is read-only."""
+
+    counts: IndexCounts
+    m: int                  # control steps per settlement interval, T_S / T_C
+    offsets: np.ndarray     # seconds from an interval's start to its m instants
+    M: sp.csr_matrix
+    R: sp.csr_matrix
+    A_DA: sp.csr_matrix
+    A_ID: sp.csr_matrix
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(ts: Timescales) -> _Grid:
+    """The maps of ``ts``, keyed on the timescales alone and built from a
+    market-matrix call of verification's own."""
+    counts = derive_counts(ts)
+    mats = build_market_matrices(ts, counts)
+    for name in ("M", "R", "A_DA", "A_ID"):
+        for arr in (mats[name].data, mats[name].indices, mats[name].indptr):
+            _read_only(arr)
+    m = ts.T_S // ts.T_C
+    return _Grid(counts=counts, m=m, offsets=_read_only(np.arange(m) * float(ts.T_C)),
+                 M=mats["M"], R=mats["R"], A_DA=mats["A_DA"], A_ID=mats["A_ID"])
+
+
+@functools.lru_cache(maxsize=1)
+def _decay_powers(f: float, n_c: int) -> np.ndarray:
+    """f**k for k = 0..n_c, the weight of x0 in the state at instant k."""
+    powers = np.arange(n_c + 1.0)
+    np.power(f, powers, out=powers)
+    return _read_only(powers)
+
+
 def average_signal(sig: ActivationSignal, ts: Timescales) -> np.ndarray:
     """Per-metering-interval means of the piecewise-linear signal (length N_S)."""
-    counts = derive_counts(ts)
-    problems = sig.validate(counts)
+    grid = _grid(ts)
+    problems = sig.validate(grid.counts)
     if problems:
         raise ValueError("; ".join(problems))
     mids = np.add(sig.values[:-1], sig.values[1:], dtype=float)
     mids *= 0.5
-    m = ts.T_S // ts.T_C
-    return mids.reshape(counts.N_S, m).mean(axis=1)
+    return mids.reshape(grid.counts.N_S, grid.m).mean(axis=1)
 
 
 def save_signal(sig: ActivationSignal, path: str) -> None:
@@ -141,30 +189,47 @@ def simulate_state(
     piecewise-linear power and piecewise-constant baseload, so the only
     error is floating point.  Returns the state at every control instant.
     """
-    counts = derive_counts(ts)
-    n_c = counts.N_C
+    grid = _grid(ts)
+    n_c = grid.counts.N_C
     if p_grid.shape != (n_c + 1,):
         raise ValueError(f"power grid has {p_grid.size} samples, expected {n_c + 1}")
-    delta_h = ts.T_C / SECONDS_PER_HOUR
-    f, g, h1, h2 = discretize(params.a, params.b, params.c, delta_h)
-    # drive = g*u + h1*p_k + h2*p_{k+1}, evaluated in that order in place:
-    # each fine-grid temporary costs fresh pages on a one-day grid
-    drive = np.repeat(np.asarray(params.u, dtype=float), ts.T_S // ts.T_C)
-    drive *= g
-    term = np.multiply(p_grid[:-1], h1)
-    drive += term
-    np.multiply(p_grid[1:], h2, out=term)
-    drive += term
-    del term
-    x = np.empty(n_c + 1)
-    x[0] = x0
-    x[1:] = scipy.signal.lfilter([1.0], [1.0, -f], drive)
-    if f != 0.0:
-        decay = np.arange(1.0, n_c + 1)
-        np.power(f, decay, out=decay)
-        decay *= x0
-        x[1:] += decay
+    f, g, h1, h2 = discretize(params.a, params.b, params.c, ts.T_C / SECONDS_PER_HOUR)
+    # drive of step k: (g*u + h1*p_{k-1}) + h2*p_k, after a leading 0 so that
+    # lfilter returns the zero-state response at every instant itself
+    drive = np.empty(n_c + 1)
+    drive[0] = 0.0
+    step = drive[1:]
+    np.multiply(p_grid[:-1], h1, out=step)
+    per_interval = step.reshape(grid.counts.N_S, grid.m)    # a view of step
+    per_interval += np.multiply(params.u, g, dtype=float)[:, None]
+    step += np.multiply(p_grid[1:], h2)
+    x = scipy.signal.lfilter([1.0], [1.0, -f], drive)
+    # then the response to x0, formed in the drive's buffer
+    x += np.multiply(_decay_powers(f, n_c), x0, out=drive)
     return x
+
+
+def _fine_reference(profile: ReferenceProfile, ts: Timescales) -> np.ndarray:
+    """The reference at every control instant (length N_C + 1).
+
+    Filled one settlement interval per row: held at the interval's start
+    breakpoint, or ``np.interp``'s own arithmetic slope * (t - t_s) + p_s
+    without its search, taking the breakpoints themselves where t = t_s.
+    """
+    grid = _grid(ts)
+    p = profile.p_ref
+    fine = np.empty(grid.counts.N_C + 1)
+    rows = fine[:-1].reshape(grid.counts.N_S, grid.m)
+    if profile.piecewise_constant:
+        rows[...] = p[:-1, None]
+    else:
+        slope = np.diff(p)
+        slope /= float(ts.T_S)
+        np.multiply(slope[:, None], grid.offsets, out=rows)
+        rows += p[:-1, None]
+        rows[:, 0] = p[:-1]
+    fine[-1] = p[-1]
+    return fine
 
 
 def _pointwise_bounds(per_interval: np.ndarray, m: int, tighter) -> np.ndarray:
@@ -217,7 +282,8 @@ def check_feasibility(
     magnitude, floored at 1).  Each distinct initial-state endpoint is
     simulated once; reported margins are the worst over them.
     """
-    counts = derive_counts(ts)
+    grid = _grid(ts)
+    counts, m = grid.counts, grid.m
     problems = params.validate(counts.N_S) + sig.validate(counts)
     if sig.T_C != ts.T_C:
         problems.append(f"signal is sampled every T_C = {sig.T_C} s, "
@@ -230,20 +296,12 @@ def check_feasibility(
         problems.append(f"Q_ID shape {policy.Q_ID.shape} does not match N_ID {counts.N_ID}")
     if problems:
         raise ValueError("cannot verify:\n  " + "\n  ".join(problems))
-    mats = build_market_matrices(ts, counts)
     w_avg = average_signal(sig, ts)
-    e_da, e_id = realized_schedules(policy, w_avg, mats["A_DA"], mats["A_ID"])
-    base = BaselineSchedule.from_trades(e_da, e_id, mats["M"])
-    profile = reference_from_baseline(base.e_base, mats["R"], ts)
+    e_da, e_id = realized_schedules(policy, w_avg, grid.A_DA, grid.A_ID)
+    base = BaselineSchedule.from_trades(e_da, e_id, grid.M)
+    profile = reference_from_baseline(base.e_base, grid.R, ts)
 
-    m = ts.T_S // ts.T_C
-    if profile.piecewise_constant:
-        p_ref_fine = np.append(np.repeat(profile.p_ref[:-1], m), profile.p_ref[-1])
-    else:
-        t_grid = np.arange(counts.N_C + 1.0)
-        t_grid *= ts.T_C
-        p_ref_fine = np.interp(t_grid, np.arange(counts.N_S + 1) * float(ts.T_S), profile.p_ref)
-        del t_grid
+    p_ref_fine = _fine_reference(profile, ts)
     p_target = np.multiply(policy.gamma, sig.values, dtype=float)
     p_target += p_ref_fine
 
@@ -277,16 +335,20 @@ def check_feasibility(
     # interpolates between samples, so the exact reference response adds a
     # filtered per-step drive difference h2*(p_k - p_{k+1}) on top (the
     # activation part stays piecewise linear by the signal semantics)
-    x_corr = 0.0
+    x_corr = None
     if profile.piecewise_constant:
         f, _, _, h2 = discretize(params.a, params.b, params.c, ts.T_C / SECONDS_PER_HOUR)
-        x_corr = np.zeros(counts.N_C + 1)
-        x_corr[1:] = scipy.signal.lfilter(
-            [1.0], [1.0, -f], h2 * (p_ref_fine[:-1] - p_ref_fine[1:]))
+        drive = np.empty(counts.N_C + 1)    # leading 0, as in simulate_state
+        drive[0] = 0.0
+        np.subtract(p_ref_fine[:-1], p_ref_fine[1:], out=drive[1:])
+        drive *= h2
+        x_corr = scipy.signal.lfilter([1.0], [1.0, -f], drive)
+        del drive
     margins["state"] = np.inf
     for x0 in sorted({params.x0_min, params.x0_max}):
         x = simulate_state(params, ts, p_target, x0)
-        x += x_corr
+        if x_corr is not None:
+            x += x_corr
         x_max, x_min = extremes(x, m + 1)
         up = float(np.min(params.x_hi - x_max))
         dn = float(np.min(x_min - params.x_lo))

@@ -3,8 +3,8 @@
 Each test prints exactly one pass/fail line under ``pytest -v``.  The
 solved fixtures (the three intra-day lead studies solve LPs with a few
 thousand rows) are module scoped and shared, so the whole gate runs in
-about 80 seconds on two cores, most of it criterion 6's thousand-signal
-certificates; everything else takes seconds.
+about 50 seconds on two cores, about 40 of them criterion 6's
+thousand-signal certificates; everything else takes seconds.
 
 Proves:
   1. The one-day fixed-baseline optimum is the analytic buffer/horizon

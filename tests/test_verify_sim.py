@@ -26,6 +26,17 @@ Proves:
      side of each instant" for random bounds, infinite ones included.
  10. Integer-typed signal and baseload arrays give the same report as
      their float copies.
+ 11. The fine reference equals np.interp of the breakpoints bit for bit
+     (a zero-order hold of the left breakpoint when held), for random
+     breakpoints, interval counts and 1 to 300 control steps per interval.
+ 12. The per-grid and decay caches change no report: checks interleaved
+     across grids, lossy and lossless storage and single and uncertain
+     initial states equal the same checks after the caches are cleared,
+     and every cached array is read-only.
+ 13. On small random lossy instances with a held reference and an
+     uncertain initial state, the LP's certified capacity passes sustained
+     and seeded random signals in the simulator, and 1.01 times it fails
+     under sustained activation.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -55,7 +66,9 @@ from flexbid import (
     vertex_oracle,
     zero_policy,
 )
-from flexbid.verify_sim import SIGNAL_KINDS, _pointwise_bounds
+from flexbid import verify_sim
+from flexbid.reference_map import ReferenceProfile
+from flexbid.verify_sim import SIGNAL_KINDS, _fine_reference, _pointwise_bounds
 
 MIN = 60
 HOUR = 3600
@@ -488,6 +501,116 @@ def test_pointwise_bounds_match_interval_rule(per_interval, m, upper):
     tighter, reduce = (np.minimum, min) if upper else (np.maximum, max)
     got = _pointwise_bounds(np.array(per_interval), m, tighter)
     np.testing.assert_array_equal(got, interval_bounds_reference(per_interval, m, reduce))
+
+
+# ---------------------------------------------------------------------------
+# the fine reference
+
+
+def breakpoint_grid(n_s, m, t_c, held) -> Timescales:
+    t_s = m * t_c
+    return Timescales(T_H=n_s * t_s, T_RES=n_s * t_s, T_DA=n_s * t_s, T_ID=t_s,
+                      T_S=t_s, T_C=t_c, T_RP=0 if held else t_s)
+
+
+MAX_N_S = 12
+finite_lists = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=MAX_N_S + 1, max_size=MAX_N_S + 1)
+
+
+@settings(deadline=None)
+@given(values=finite_lists, n_s=st.integers(1, MAX_N_S), m=st.integers(1, 300),
+       t_c=st.sampled_from([1, 2, 7, 60]), held=st.booleans())
+# a signed zero at a breakpoint, and slopes that overflow
+@example(values=[-0.0, 1.0, 2.0] + [0.0] * 10, n_s=2, m=3, t_c=1, held=False)
+@example(values=[1e308, -1e308, 0.0] + [0.0] * 10, n_s=2, m=3, t_c=1, held=False)
+def test_fine_reference_equals_interp_bit_for_bit(values, n_s, m, t_c, held):
+    ts = breakpoint_grid(n_s, m, t_c, held)
+    p_ref = np.array(values[:n_s + 1])
+    # huge breakpoints are kept on purpose: their slopes overflow alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _fine_reference(ReferenceProfile(p_ref=p_ref, piecewise_constant=held), ts)
+    t = np.arange(n_s * m + 1.0) * t_c
+    if held:
+        # eval_reference's zero-order hold: p[min(t // T_S, N_S)]
+        want = p_ref[np.minimum(t // ts.T_S, n_s).astype(int)]
+    else:
+        want = np.interp(t, np.arange(n_s + 1) * float(ts.T_S), p_ref)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the caches
+
+
+def report_key(report):
+    return (report.feasible, report.messages,
+            {k: float(v).hex() for k, v in report.margins.items()},
+            {k: float(v).hex() for k, v in report.scales.items()})
+
+
+def test_cached_maps_change_no_report(solved_2h):
+    ts, counts, params, sol = solved_2h
+    held_ts = swiss_2h(t_rp=0)
+    held_sol = solve(assemble(params, held_ts, PolicyStructure.build(counts, held_ts, 0, 1)))
+    assert held_sol.status == "optimal"
+    variants = [params, dataclasses.replace(params, a=-0.02),
+                dataclasses.replace(params, x0_min=7.0, x0_max=8.0)]
+    plan = []
+    for k, variant in enumerate(variants):
+        for grid_ts, policy in ((ts, sol.policy), (held_ts, held_sol.policy)):
+            for sig in (gen_signal("sustained", grid_ts, level=-1.0),
+                        gen_signal("uniform_random", grid_ts, seed=k)):
+                plan.append((policy, sig, variant, grid_ts))
+    cached = [report_key(check_feasibility(*args)) for args in plan]
+    for args, want in zip(plan, cached):
+        verify_sim._grid.cache_clear()
+        verify_sim._decay_powers.cache_clear()
+        assert report_key(check_feasibility(*args)) == want
+
+    grid = verify_sim._grid(ts)
+    arrays = [grid.offsets, verify_sim._decay_powers(1.0, counts.N_C)]
+    for mat in (grid.M, grid.R, grid.A_DA, grid.A_ID):
+        arrays += [mat.data, mat.indices, mat.indptr]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# the LP against the simulator
+
+
+# The envelope rows bound the intra-interval drift a*x by a*x_hi (and a*x_lo),
+# which makes the LP conservative by about |a|*x_hi*T_S of state; at
+# a = -0.05 1/h with the store 30 % full that alone exceeds 1 % of the
+# capacity, so a is drawn within the -0.02 1/h that the lossy tests use.
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a=st.floats(-0.02, -0.001),
+       p_bar=st.floats(2.0, 6.0), x_top=st.floats(1.0, 4.0), x0=st.floats(0.3, 0.7),
+       dx0=st.floats(0.0, 0.05), u=st.floats(-0.2, 0.2), c=st.sampled_from([1.0, 0.8]),
+       da_lookback=st.integers(0, 1), id_lookback=st.integers(0, 2))
+def test_lp_capacity_is_tight_in_the_simulator(seed, a, p_bar, x_top, x0, dx0, u, c,
+                                               da_lookback, id_lookback):
+    ts = Timescales(T_H=40 * MIN, T_RES=40 * MIN, T_DA=40 * MIN, T_ID=10 * MIN,
+                    T_S=5 * MIN, T_C=60, T_RP=0, T_ID_lead=0)
+    counts = derive_counts(ts)
+    params = SystemParams.constant(
+        counts.N_S, a=a, c=c, u=u, p_lo=-p_bar, p_hi=p_bar, x_lo=0.0, x_hi=x_top,
+        x0_min=(x0 - dx0) * x_top, x0_max=(x0 + dx0) * x_top)
+    structure = PolicyStructure.build(counts, ts, da_lookback, id_lookback)
+    sol = solve(assemble(params, ts, structure))
+    assert sol.status == "optimal"
+    assert sol.stats["certified"] is True
+    signals = [gen_signal("sustained", ts), gen_signal("sustained", ts, level=-1.0)]
+    signals += [gen_signal(kind, ts, seed=seed + k)
+                for k, kind in enumerate(("uniform_random", "clipped_random_walk") * 3)]
+    for sig in signals:
+        report = check_feasibility(sol.policy, sig, params, ts)
+        assert report.feasible, report.format()
+    bigger = dataclasses.replace(sol.policy, gamma=1.01 * sol.gamma)
+    verdicts = [check_feasibility(bigger, sig, params, ts).feasible for sig in signals[:2]]
+    assert not all(verdicts)
 
 
 # ---------------------------------------------------------------------------
