@@ -30,7 +30,7 @@ from . import mps, robust_lp, solvers, verify_sim
 from .dynamics import SystemParams
 from .market_time import IndexCounts, Timescales, derive_counts
 from .policy import PolicyStructure, load_policy, save_policy
-from .robust_lp import EXPECTED_PROFIT, MAX_CAPACITY, ObjectiveSpec, PriceData
+from .robust_lp import EXPECTED_PROFIT, MAX_CAPACITY, PRICE_SERIES, ObjectiveSpec, PriceData
 
 log = logging.getLogger(__name__)
 
@@ -213,9 +213,7 @@ def load_prices(path: str, counts: IndexCounts) -> PriceData:
     Series c_DA / c_ID / c_up / c_dn / rho_up / rho_dn / mu are indexed on
     their own grid (1-based); c_RES ignores the index.
     """
-    lengths = {"c_DA": counts.N_DA, "c_ID": counts.N_ID, "c_up": counts.N_ID,
-               "c_dn": counts.N_ID, "rho_up": counts.N_ID, "rho_dn": counts.N_ID,
-               "mu": counts.N_S}
+    lengths = {name: getattr(counts, grid) for name, grid in PRICE_SERIES.items()}
     data = {name: np.zeros(n) for name, n in lengths.items()}
     seen = set()
     c_res = 0.0
@@ -252,16 +250,7 @@ def load_prices(path: str, counts: IndexCounts) -> PriceData:
                                   f"index {idx} out of range 1..{lengths[series]} for {series}")
             data[series][idx - 1] = value
             seen.add(series)
-    return PriceData(
-        c_RES=c_res,
-        c_DA=data["c_DA"] if "c_DA" in seen else None,
-        c_ID=data["c_ID"] if "c_ID" in seen else None,
-        c_up=data["c_up"] if "c_up" in seen else None,
-        c_dn=data["c_dn"] if "c_dn" in seen else None,
-        rho_up=data["rho_up"] if "rho_up" in seen else None,
-        rho_dn=data["rho_dn"] if "rho_dn" in seen else None,
-        mu=data["mu"] if "mu" in seen else None,
-    )
+    return PriceData(c_RES=c_res, **{name: data[name] for name in lengths if name in seen})
 
 
 def load_problem(path: str) -> Problem:

@@ -15,7 +15,14 @@ Blocks A_i that are equal bit for bit (policy columns, coefficients and
 gamma coefficient), within a family or across families, share one lambda:
 a shared lambda >= |A_i| is the same constraint as one per copy, so the
 projection onto the policy columns is unchanged (a row that sums the same
-lambda twice gets coefficient 2).
+lambda twice gets coefficient 2).  The ramp refinement's slope family
+looks up the first stage's lambdas as well, since its program holds the
+first stage's rows.
+
+One emitter, ``_emit_family``, writes every family but ``dyn``.  Each
+family hands it the row's nominal part, its absolute-value blocks, the
+upper and lower bound net of the row's constant part (+inf above or -inf
+below means no row) and one margin per row, which both directions give up.
 
 The nominal states follow the exact step map of the nominal reference
 p = theta_coef @ x (the ``dyn`` family, one equality per interval written
@@ -103,6 +110,14 @@ _KIND_CODE = {name: code for code, name in enumerate(_ROW_KINDS)}
 _UPPER_KINDS = [code for name, code in _KIND_CODE.items() if name.endswith(".hi")]
 
 
+#: price and activation series of :class:`PriceData`, each with the
+#: ``IndexCounts`` field that gives the length of its grid
+PRICE_SERIES = {
+    "c_DA": "N_DA", "c_ID": "N_ID", "c_up": "N_ID", "c_dn": "N_ID",
+    "rho_up": "N_ID", "rho_dn": "N_ID", "mu": "N_S",
+}
+
+
 @dataclass
 class PriceData:
     """Expected prices and activation statistics for profit objectives.
@@ -124,26 +139,19 @@ class PriceData:
     mu: np.ndarray | None = None
 
     def resolved(self, counts: IndexCounts) -> "PriceData":
-        def fill(vec, n):
-            return np.zeros(n) if vec is None else np.asarray(vec, dtype=float)
+        """Every series as a float array, zeros on its grid where unset."""
+        def fill(name, grid):
+            vec = getattr(self, name)
+            return np.zeros(getattr(counts, grid)) if vec is None else np.asarray(vec, dtype=float)
 
-        return PriceData(
-            c_RES=float(self.c_RES),
-            c_DA=fill(self.c_DA, counts.N_DA),
-            c_ID=fill(self.c_ID, counts.N_ID),
-            c_up=fill(self.c_up, counts.N_ID),
-            c_dn=fill(self.c_dn, counts.N_ID),
-            rho_up=fill(self.rho_up, counts.N_ID),
-            rho_dn=fill(self.rho_dn, counts.N_ID),
-            mu=fill(self.mu, counts.N_S),
-        )
+        return PriceData(c_RES=float(self.c_RES),
+                         **{name: fill(name, grid) for name, grid in PRICE_SERIES.items()})
 
     def validate(self, counts: IndexCounts, a_id: sp.spmatrix | None = None) -> list[str]:
         problems = []
         full = self.resolved(counts)
-        for name, n in (("c_DA", counts.N_DA), ("c_ID", counts.N_ID), ("c_up", counts.N_ID),
-                        ("c_dn", counts.N_ID), ("rho_up", counts.N_ID), ("rho_dn", counts.N_ID),
-                        ("mu", counts.N_S)):
+        for name, grid in PRICE_SERIES.items():
+            n = getattr(counts, grid)
             if getattr(full, name).shape != (n,):
                 problems.append(f"{name} must have length {n}")
         if problems:
@@ -308,6 +316,7 @@ class RobustProgram:
     objective: ObjectiveSpec
     matrices: dict
     dd: DiscreteDynamics
+    epigraph: dict           # absolute-value block signature -> its epigraph column
 
     @property
     def n_rows(self) -> int:
@@ -443,7 +452,7 @@ def _epigraph_columns(
     n_blocks = block_first.size
     size = np.diff(np.append(block_first, ent_v.size))
     slot = 1 + 2 * (np.arange(ent_v.size) - block_first[ent_block])
-    sig = np.zeros((n_blocks, 1 + 2 * int(size.max())), dtype=np.int64)
+    sig = np.zeros((n_blocks, 1 + 2 * int(size.max(initial=0))), dtype=np.int64)
     sig[:, 1::2] = -1                                  # padding: no column
     sig[:, 0] = (gcoef + 0.0).view(np.int64)           # + 0.0 keys -0.0 as 0.0
     sig[ent_block, slot] = ent_v
@@ -478,15 +487,12 @@ def _emit_family(
     *,
     name: str,
     blocks: sp.spmatrix,
+    nominal: sp.spmatrix,
     members: np.ndarray,
     krow: np.ndarray,
-    rhs_up: np.ndarray,
-    rhs_lo: np.ndarray,
-    const_up: np.ndarray,
-    const_lo: np.ndarray,
-    dg_up: np.ndarray,
-    dg_lo: np.ndarray,
-    nominal: sp.spmatrix,
+    hi: np.ndarray,
+    lo: np.ndarray,
+    dg: np.ndarray,
     layout: VariableLayout,
     f: float,
     eps: float,
@@ -496,49 +502,42 @@ def _emit_family(
 ) -> None:
     """Emit epigraph blocks and the upper/lower rows of one family.
 
-    ``blocks`` holds the rows' absolute-value blocks over the Q entries,
-    flat column i * n_q + v as in ``TH`` (block i of row r is the
-    coefficient of w_tilde_i); ``nominal`` holds the rows' nominal
-    (activation-free) part over the program's columns.  ``members`` carries
-    the 1-based member index per row (tagging only), ``krow[r]`` the number of
-    activation carry-over terms entering row r, ``c_t`` the product
-    c * T_S (hours).  Infinite ``rhs`` entries suppress that direction.
-    ``dg_up``/``dg_lo`` multiply column ``dg_col`` (gamma unless given).
-    Every row is written as ``row <= rhs``: lower rows and epigraph rows
-    come out negated.
+    Row r bounds its nominal part (``nominal`` row r, over the program's
+    columns) by ``hi[r]`` from above and ``lo[r]`` from below, each bound
+    net of the row's constant part, with the worst case of its activation
+    term and a margin ``dg[r]`` per unit of column ``dg_col`` (gamma unless
+    given) taken off both sides:
+
+        sum(lam) + row + abs_gamma*gamma + dg*x[dg_col] <= hi
+        sum(lam) - row + abs_gamma*gamma + dg*x[dg_col] <= -lo
+
+    the lower row written negated like every ``>=`` row.  A row exists
+    where hi < inf (lo > -inf); NaN, an infinite limit less an infinite
+    constant, drops it too.  ``blocks`` holds the rows' absolute-value
+    blocks over the Q entries, flat column i * n_q + v as in ``TH`` (block
+    i of row r is the coefficient of w_tilde_i); in sorted CSR order its
+    entries come block by block, each block by policy column.  ``members``
+    carries the 1-based member index per row (tagging only), ``krow[r]``
+    the number of activation carry-over terms entering row r, ``c_t`` the
+    product c * T_S (hours).  Epigraph rows are written negated too.
     """
-    n_fam = blocks.shape[0]
     n_q = layout.n_q
     gamma_col = layout.gamma
     dg_col = gamma_col if dg_col is None else dg_col
+    upper, lower = hi < np.inf, lo > -np.inf
 
-    finite_up = np.isfinite(rhs_up)
-    finite_lo = np.isfinite(rhs_lo)
-    live = finite_up | finite_lo
-    if not live.any():
-        return
-
-    # --- absolute-value blocks -------------------------------------------
-    if n_q:
-        C = blocks.tocoo()
-        ent_r, ent_flat, ent_val = C.row, C.col, C.data
-        keep = live[ent_r]
-        ent_r, ent_flat, ent_val = ent_r[keep], ent_flat[keep], ent_val[keep]
-        ent_i = ent_flat // n_q
-        ent_v = ent_flat % n_q
-    else:
-        ent_r = np.empty(0, dtype=np.int64)
-        ent_i = np.empty(0, dtype=np.int64)
-        ent_v = np.empty(0, dtype=np.int64)
-        ent_val = np.empty(0)
-
-    key = ent_r.astype(np.int64) * (blocks.shape[1] // n_q + 1 if n_q else 1) + ent_i
-    order = np.lexsort((ent_v, key))          # by block, then by policy column
-    ent_r, ent_i, ent_v, ent_val, key = (
-        ent_r[order], ent_i[order], ent_v[order], ent_val[order], key[order])
-    block_key, block_first = np.unique(key, return_index=True)
-    n_blocks = block_key.size
-    ent_block = np.searchsorted(block_key, key)
+    # --- absolute-value blocks of the live rows: a new block starts where
+    # (row, interval) changes
+    C = blocks.tocsr(copy=True)
+    C.sum_duplicates()
+    ent_r = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    keep = (upper | lower)[ent_r]
+    ent_r, ent_val = ent_r[keep], C.data[keep]
+    ent_i, ent_v = np.divmod(C.indices[keep], n_q)
+    start = np.ones(ent_r.size, dtype=bool)
+    start[1:] = (ent_r[1:] != ent_r[:-1]) | (ent_i[1:] != ent_i[:-1])
+    block_first = np.flatnonzero(start)
+    ent_block = np.cumsum(start) - 1
     block_r = ent_r[block_first]
     block_i = ent_i[block_first]
 
@@ -549,83 +548,63 @@ def _emit_family(
     kval = np.where(has_k, f ** powers.astype(float), 0.0)
     gcoef = c_t * e_hat * kval
 
-    if n_blocks:
-        block_col, fresh = _epigraph_columns(acc, block_first, ent_block, ent_v, ent_val, gcoef)
-        # epigraph pair per new column: -lam +- (C + gcoef*gamma) <= 0
-        pair = np.full(n_blocks, -1, dtype=np.int64)
-        pair[fresh] = np.arange(fresh.size)
-        ent = np.flatnonzero(pair[ent_block] >= 0)
-        ent_pair = pair[ent_block[ent]]
-        new = np.arange(fresh.size)
-        erows = np.concatenate([
-            2 * ent_pair, 2 * ent_pair + 1,      # policy terms
-            2 * new, 2 * new + 1,                # lambda
-            2 * new, 2 * new + 1,                # gamma
-        ])
-        ecols = np.concatenate([
-            ent_v[ent], ent_v[ent],
-            block_col[fresh], block_col[fresh],
-            np.full(fresh.size, gamma_col), np.full(fresh.size, gamma_col),
-        ])
-        edata = np.concatenate([
-            ent_val[ent], -ent_val[ent],
-            -np.ones(fresh.size), -np.ones(fresh.size),
-            gcoef[fresh], -gcoef[fresh],
-        ])
-        n_epi = 2 * fresh.size
-        epi_kind = np.empty(n_epi, dtype=np.int16)
-        epi_kind[0::2] = _KIND_CODE["epi.pos"]
-        epi_kind[1::2] = _KIND_CODE["epi.neg"]
-        epi_m1 = np.repeat(members[block_r[fresh]], 2)
-        epi_m2 = np.repeat(block_i[fresh] + 1, 2)
-        acc.add_rows(erows, ecols, edata, np.zeros(n_epi), epi_kind, epi_m1, epi_m2)
+    block_col, fresh = _epigraph_columns(acc, block_first, ent_block, ent_v, ent_val, gcoef)
+    # epigraph pair per new column: -lam +- (C + gcoef*gamma) <= 0
+    pair = np.full(block_first.size, -1, dtype=np.int64)
+    pair[fresh] = np.arange(fresh.size)
+    ent = np.flatnonzero(pair[ent_block] >= 0)
+    ent_pair = pair[ent_block[ent]]
+    new = np.arange(fresh.size)
+    erows = np.concatenate([
+        2 * ent_pair, 2 * ent_pair + 1,      # policy terms
+        2 * new, 2 * new + 1,                # lambda
+        2 * new, 2 * new + 1,                # gamma
+    ])
+    ecols = np.concatenate([
+        ent_v[ent], ent_v[ent],
+        block_col[fresh], block_col[fresh],
+        np.full(fresh.size, gamma_col), np.full(fresh.size, gamma_col),
+    ])
+    edata = np.concatenate([
+        ent_val[ent], -ent_val[ent],
+        -np.ones(fresh.size), -np.ones(fresh.size),
+        gcoef[fresh], -gcoef[fresh],
+    ])
+    n_epi = 2 * fresh.size
+    epi_kind = np.empty(n_epi, dtype=np.int16)
+    epi_kind[0::2] = _KIND_CODE["epi.pos"]
+    epi_kind[1::2] = _KIND_CODE["epi.neg"]
+    epi_m1 = np.repeat(members[block_r[fresh]], 2)
+    epi_m2 = np.repeat(block_i[fresh] + 1, 2)
+    acc.add_rows(erows, ecols, edata, np.zeros(n_epi), epi_kind, epi_m1, epi_m2)
 
-    # per-row sums of carry-over weights, split into policy-active blocks
-    # (kept as lambdas plus eps slack) and policy-free ones (folded: the
-    # absolute term plus slack is exactly c*T*k per unit gamma)
-    if f == 1.0:
-        total_k = krow.astype(float)
-    else:
-        total_k = (1.0 - f ** krow.astype(float)) / (1.0 - f)
-    act_k = np.zeros(n_fam)
-    np.add.at(act_k, block_r, kval)
+    # per-row sums of carry-over weights sum_{j<krow} f^j (the step map
+    # from 0 driven by ones), split into policy-active blocks (kept as
+    # lambdas plus eps slack) and policy-free ones (folded: the absolute
+    # term plus slack is exactly c*T*k per unit gamma)
+    total_k = _propagate(f, np.append(0.0, np.ones(krow.max(initial=0))))[krow]
+    act_k = np.bincount(block_r, weights=kval, minlength=len(krow))
     free_k = total_k - act_k
     abs_gamma = c_t * (free_k + eps * act_k)
 
-    q_rows = nominal.tocoo()
-
-    def emit_direction(upper: bool) -> None:
-        # sum(lam) + sgn*(q terms) + abs_gamma*gamma + sgn*dg*dg_col <= sgn*(rhs - const)
-        mask = finite_up if upper else finite_lo
-        if not mask.any():
-            return
-        idx = np.flatnonzero(mask)
-        row_of = np.full(n_fam, -1, dtype=np.int64)
-        row_of[idx] = np.arange(idx.size)
-        sgn = 1.0 if upper else -1.0
-        parts_r, parts_c, parts_d = [], [], []
-        if n_blocks:
-            bkeep = mask[block_r]
-            parts_r.append(row_of[block_r[bkeep]])
-            parts_c.append(block_col[bkeep])
-            parts_d.append(np.ones(int(bkeep.sum())))
-        qkeep = mask[q_rows.row]
-        parts_r.append(row_of[q_rows.row[qkeep]])
-        parts_c.append(q_rows.col[qkeep])
-        parts_d.append(sgn * q_rows.data[qkeep])
-        # gamma and dg_col entries; the CSR conversion sums them when they coincide
-        parts_r += [row_of[idx], row_of[idx]]
-        parts_c += [np.full(idx.size, gamma_col), np.full(idx.size, dg_col)]
-        parts_d += [abs_gamma[idx], sgn * (dg_up[idx] if upper else dg_lo[idx])]
-        rhs = (rhs_up[idx] - const_up[idx]) if upper else (const_lo[idx] - rhs_lo[idx])
-        kind = _KIND_CODE[f"{name}.hi" if upper else f"{name}.lo"]
+    nominal = nominal.tocoo()
+    for kind, live, sgn, bound in (("hi", upper, 1.0, hi), ("lo", lower, -1.0, lo)):
+        idx = np.flatnonzero(live)
+        row_of = np.cumsum(live) - 1        # read at live rows only
+        bkeep = live[block_r]
+        nkeep = live[nominal.row]
+        # the CSR conversion sums the gamma and dg_col entries when they coincide
         acc.add_rows(
-            np.concatenate(parts_r), np.concatenate(parts_c), np.concatenate(parts_d), rhs,
-            np.full(idx.size, kind, dtype=np.int16), members[idx], np.full(idx.size, -1),
+            np.concatenate([row_of[block_r[bkeep]], row_of[nominal.row[nkeep]],
+                            row_of[idx], row_of[idx]]),
+            np.concatenate([block_col[bkeep], nominal.col[nkeep],
+                            np.full(idx.size, gamma_col), np.full(idx.size, dg_col)]),
+            np.concatenate([np.ones(bkeep.sum()), sgn * nominal.data[nkeep],
+                            abs_gamma[idx], dg[idx]]),
+            sgn * bound[idx],
+            np.full(idx.size, _KIND_CODE[f"{name}.{kind}"], dtype=np.int16),
+            members[idx], np.full(idx.size, -1),
         )
-
-    emit_direction(True)
-    emit_direction(False)
 
 
 def _adjacent(bounds: np.ndarray, tighter) -> np.ndarray:
@@ -698,8 +677,6 @@ def assemble(
     common = dict(layout=layout, f=dd.f, eps=dd.eps, e_hat=dd.e_a_tau_hat, c_t=c_t)
     members_bp = np.arange(n_s + 1)
     members_s = np.arange(1, n_s + 1)
-    zeros_bp = np.zeros(n_s + 1)
-    zeros_s = np.zeros(n_s)
 
     # dyn: z_s - f*z_{s-1} - h1*p_{s-1} - h2*p_s = 0 as an upper and a lower
     # row.  A held reference (T_RP = 0) keeps the start breakpoint through
@@ -711,33 +688,28 @@ def assemble(
     z_prev = sp.vstack([sp.csr_matrix((1, n_cols)), z_cur[:-1]]).tocsr()
     dyn = (z_cur - dd.f * z_prev - step @ theta_coef).tocoo()
     for kind, sgn in (("dyn.hi", 1.0), ("dyn.lo", -1.0)):
-        acc.add_rows(dyn.row, dyn.col, sgn * dyn.data, zeros_s,
+        acc.add_rows(dyn.row, dyn.col, sgn * dyn.data, np.zeros(n_s),
                      np.full(n_s, _KIND_CODE[kind]), members_s, np.full(n_s, -1))
 
     # power: reference +/- gamma within the tighter adjacent interval bounds
     _emit_family(
         acc, name="power", blocks=TH, nominal=theta_coef,
         members=members_bp, krow=np.zeros(n_s + 1, dtype=np.int64),
-        rhs_up=_adjacent(params.p_hi, np.minimum),
-        rhs_lo=_adjacent(params.p_lo, np.maximum),
-        const_up=zeros_bp, const_lo=zeros_bp,
-        dg_up=np.ones(n_s + 1), dg_lo=-np.ones(n_s + 1),
-        **common,
+        hi=_adjacent(params.p_hi, np.minimum), lo=_adjacent(params.p_lo, np.maximum),
+        dg=np.ones(n_s + 1), **common,
     )
 
     # ramp: reference step plus activation swing within r * T_S
-    swing = 2.0 * ts.T_S / ts.T_C
     _emit_family(
         acc, name="ramp", blocks=diff @ TH, nominal=diff @ theta_coef,
         members=members_s, krow=np.zeros(n_s, dtype=np.int64),
-        rhs_up=params.r_hi * ts.T_S, rhs_lo=params.r_lo * ts.T_S,
-        const_up=zeros_s, const_lo=zeros_s,
-        dg_up=np.full(n_s, swing), dg_lo=np.full(n_s, -swing),
-        **common,
+        hi=params.r_hi * ts.T_S, lo=params.r_lo * ts.T_S,
+        dg=np.full(n_s, 2.0 * ts.T_S / ts.T_C), **common,
     )
 
-    # grid states within the tighter adjacent interval bounds; their blocks
-    # are the step map run down TH's nonzero columns (the others stay zero)
+    # grid states within the tighter adjacent interval bounds, less the
+    # adverse initial-state endpoint and the baseload; their blocks are the
+    # step map run down TH's nonzero columns (the others stay zero)
     drive = (step @ TH).tocsc()
     th_cols = np.flatnonzero(np.diff(drive.indptr))
     HT = _propagate(dd.f, drive[:, th_cols].toarray())
@@ -746,12 +718,9 @@ def assemble(
     _emit_family(
         acc, name="state", blocks=HT, nominal=z_cur,
         members=members_s, krow=np.arange(1, n_s + 1, dtype=np.int64),
-        rhs_up=np.concatenate([np.minimum(params.x_hi[:-1], params.x_hi[1:]), [params.x_hi[-1]]]),
-        rhs_lo=np.concatenate([np.maximum(params.x_lo[:-1], params.x_lo[1:]), [params.x_lo[-1]]]),
-        const_up=dd.F * params.x0_max + gu,
-        const_lo=dd.F * params.x0_min + gu,
-        dg_up=zeros_s, dg_lo=zeros_s,
-        **common,
+        hi=_adjacent(params.x_hi, np.minimum)[1:] - (dd.F * params.x0_max + gu),
+        lo=_adjacent(params.x_lo, np.maximum)[1:] - (dd.F * params.x0_min + gu),
+        dg=np.zeros(n_s), **common,
     )
 
     # intra-interval envelopes: previous grid state plus the integrated
@@ -773,12 +742,9 @@ def assemble(
         _emit_family(
             acc, name=branch, blocks=ht_prev + slope @ TH, nominal=z_prev + slope @ theta_coef,
             members=members_s, krow=krow_env,
-            rhs_up=params.x_hi, rhs_lo=params.x_lo,
-            const_up=f_prev * params.x0_max + gu_prev + scale * drift_up,
-            const_lo=f_prev * params.x0_min + gu_prev + scale * drift_lo,
-            dg_up=np.full(n_s, scale * params.c),
-            dg_lo=np.full(n_s, -scale * params.c),
-            **common,
+            hi=params.x_hi - (f_prev * params.x0_max + gu_prev + scale * drift_up),
+            lo=params.x_lo - (f_prev * params.x0_min + gu_prev + scale * drift_lo),
+            dg=np.full(n_s, scale * params.c), **common,
         )
 
     # ---- objective --------------------------------------------------------
@@ -804,7 +770,7 @@ def assemble(
     prog = RobustProgram(
         **acc.finish(), obj=obj, layout=layout,
         ts=ts, counts=counts, params=params, structure=structure,
-        objective=objective, matrices=mats, dd=dd,
+        objective=objective, matrices=mats, dd=dd, epigraph=acc.epigraph,
     )
     log.info("assembled robust LP: %d rows, %d columns, %d nonzeros; "
              "%d absolute-value blocks share %d epigraph columns",
@@ -812,12 +778,7 @@ def assemble(
     return prog
 
 
-def _theta_of_policy(prog: RobustProgram, pol: AffinePolicy):
-    m = prog.matrices
-    return reference_affine_map(pol, m["M"], m["R"], m["A_DA"], m["A_ID"])
-
-
-def required_ramp(sol: Solution, ts: Timescales | None = None) -> float:
+def required_ramp(sol: Solution) -> float:
     """Minimum symmetric ramp capability (kW/s) keeping the policy feasible.
 
     Worst case over admissible activation of the reference slope, plus the
@@ -825,8 +786,9 @@ def required_ramp(sol: Solution, ts: Timescales | None = None) -> float:
     """
     if sol.policy is None:
         raise ValueError(f"no policy available (status {sol.status})")
-    ts = ts or sol.program.ts
-    theta_mat, theta_vec = _theta_of_policy(sol.program, sol.policy)
+    ts = sol.program.ts
+    m = sol.program.matrices
+    theta_mat, theta_vec = reference_affine_map(sol.policy, m["M"], m["R"], m["A_DA"], m["A_ID"])
     d_mat = theta_mat[1:] - theta_mat[:-1]
     d_vec = np.diff(theta_vec)
     worst = np.asarray(np.abs(d_mat).sum(axis=1)).ravel() + np.abs(d_vec)
@@ -838,19 +800,20 @@ def _slope_program(prog: RobustProgram, objective_floor: float) -> tuple[RobustP
     """Secondary-stage LP: keep the objective, minimize the worst reference step.
 
     The first-stage rows plus the ``slope`` family (|step of segment s| <= t,
-    no activation carry-over) and one ``objective.floor`` row.  Returns the
-    program, which maximizes -t, and the column of t.
+    no activation carry-over) and one ``objective.floor`` row.  A slope block
+    equal bit for bit to a first-stage block reuses its epigraph column,
+    whose rows the first stage already holds.  Returns the program, which
+    maximizes -t, and the column of t.
     """
     n_s = prog.counts.N_S
     m = prog.matrices
     acc = _Accumulator(prog.var_lo, prog.var_hi)
+    acc.epigraph = dict(prog.epigraph)
     t_col = acc.add_vars(1)
-    zeros_s = np.zeros(n_s)
     _emit_family(
         acc, name="slope", blocks=m["diff"] @ m["TH"],
         members=np.arange(1, n_s + 1), krow=np.zeros(n_s, dtype=np.int64),
-        rhs_up=zeros_s, rhs_lo=zeros_s, const_up=zeros_s, const_lo=zeros_s,
-        dg_up=np.full(n_s, -1.0), dg_lo=np.ones(n_s), dg_col=t_col,
+        hi=np.zeros(n_s), lo=np.zeros(n_s), dg=np.full(n_s, -1.0), dg_col=t_col,
         nominal=m["diff"] @ m["theta_coef"], layout=prog.layout,
         f=1.0, eps=0.0, e_hat=0.0, c_t=0.0,
     )
@@ -868,7 +831,7 @@ def _slope_program(prog: RobustProgram, objective_floor: float) -> tuple[RobustP
         prog,
         A=sp.vstack([first, extra["A"]], format="csr"),
         rhs=np.concatenate([prog.rhs, extra["rhs"]]),
-        var_lo=extra["var_lo"], var_hi=extra["var_hi"], obj=obj,
+        var_lo=extra["var_lo"], var_hi=extra["var_hi"], obj=obj, epigraph=acc.epigraph,
         **{key: np.concatenate([getattr(prog, key), extra[key]])
            for key in ("row_kind", "row_meta1", "row_meta2")},
     )
@@ -880,13 +843,12 @@ def solve(
     backend: str = "highs",
     *,
     refine_ramp: bool = False,
-    feasibility_tol: float = FEASIBILITY_TOL,
 ) -> Solution:
     """Solve the assembled program; optionally re-solve for the flattest
     optimal reference (same objective value, minimal worst-case step).
 
     ``stats["certified"]`` is False when the returned point breaks the
-    program's rows or bounds by more than ``feasibility_tol``; its state
+    program's rows or bounds by more than ``FEASIBILITY_TOL``; its state
     columns are recomputed from its policy by the step map, not taken from
     the solver.  With refinement, ``stats["first_stage_objective"]`` keeps
     the objective the refinement started from (it may give up a relative
@@ -937,10 +899,10 @@ def solve(
     x[z] = _propagate(prog.dd.f, m["step"] @ (m["theta_coef"] @ x[:z.stop]))
     violation = prog.max_violation(x)
     stats["max_violation"] = violation
-    stats["certified"] = violation <= feasibility_tol
+    stats["certified"] = violation <= FEASIBILITY_TOL
     if not stats["certified"]:
         log.warning("solver point violates constraints by %.3e (tol %.1e)",
-                    violation, feasibility_tol)
+                    violation, FEASIBILITY_TOL)
     policy = prog.decode_policy(x)
     return Solution(status=solvers.OPTIMAL, objective=objective,
                     gamma=policy.gamma, policy=policy, x=x, stats=stats, program=prog)

@@ -14,7 +14,7 @@ registered under a new name in :data:`BACKENDS`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +46,6 @@ class BackendResult:
     message: str = ""
     iterations: int = 0
     wall_time: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 _SCIPY_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}

@@ -20,8 +20,9 @@ Proves:
      the slope family plus an objective floor.
   8. Shape errors and multi-period tenders are rejected.
   9. Each distinct absolute-value block gets exactly one epigraph column,
-     and every such column enters a family row; ``solve`` reports the
-     nonzero, state-column and epigraph-column counts.
+     in the first stage and across it and the ramp refinement, and every
+     such column enters a family row; ``solve`` reports the nonzero,
+     state-column and epigraph-column counts.
  10. The nominal state columns solve to the condensed map H @ p of the
      decoded policy's nominal reference, ramped, held, lossy with a
      baseload, with an uncertain start and adjustable (and over seven days
@@ -30,6 +31,9 @@ Proves:
      map down Theta's columns equal the condensed products H @ Theta (state
      rows) and (H shifted one interval + envelope slope) @ Theta (envelope
      rows), lossless and lossy, ramped and held.
+ 12. The gamma coefficient of a fixed-reference state row is the
+     carry-over sum c*T_S*sum_{j<s} f^j to 1e-13 relative, also for f
+     within 1e-10 of 1.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import os
 import pathlib
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -455,32 +460,37 @@ def test_each_distinct_absolute_value_block_has_one_epigraph_column(caplog):
     ts, counts, params, structure = make(4, id_lb=1)
     with caplog.at_level(logging.INFO, logger="flexbid.robust_lp"):
         prog = assemble(params, ts, structure)
+    # the refinement's slope blocks look up the first stage's columns too,
+    # so no two columns bound the same block across both stages
+    refined, t_col = _slope_program(prog, 0.0)
     n_policy = prog.layout.n_policy
-    lam_cols = [v for v in range(n_policy, prog.n_vars) if v not in prog.state_columns]
-    A = prog.A.tocsr()
-    kinds = np.array([prog.row_tag(j).split("[")[0] for j in range(prog.n_rows)])
+    for program, skip in ((prog, None), (refined, t_col)):
+        lam_cols = [v for v in range(n_policy, program.n_vars)
+                    if v not in program.state_columns and v != skip]
+        A = program.A.tocsr()
+        kinds = np.array([program.row_tag(j).split("[")[0] for j in range(program.n_rows)])
 
-    # one epigraph pair per column: -lam + (policy terms + g*gamma) <= 0
-    signature_of = {}
-    for j in np.flatnonzero(kinds == "epi.pos"):
-        row = A.getrow(j)
-        aux = row.indices >= n_policy
-        assert aux.sum() == 1 and row.data[aux][0] == -1.0
-        lam = int(row.indices[aux][0])
-        order = np.argsort(row.indices[~aux])
-        signature = (row.indices[~aux][order].tobytes(), row.data[~aux][order].tobytes())
-        assert lam not in signature_of
-        signature_of[lam] = signature
-    assert sorted(signature_of) == lam_cols
-    # no two columns bound the same block
-    assert len(set(signature_of.values())) == len(signature_of)
-    # every column enters some family row
-    family = ~np.char.startswith(kinds, "epi.")
-    assert np.all(A[family][:, lam_cols].getnnz(axis=0) > 0)
+        # one epigraph pair per column: -lam + (policy terms + g*gamma) <= 0
+        signature_of = {}
+        for j in np.flatnonzero(kinds == "epi.pos"):
+            row = A.getrow(j)
+            aux = row.indices >= n_policy
+            assert aux.sum() == 1 and row.data[aux][0] == -1.0
+            lam = int(row.indices[aux][0])
+            order = np.argsort(row.indices[~aux])
+            signature = (row.indices[~aux][order].tobytes(), row.data[~aux][order].tobytes())
+            assert lam not in signature_of
+            signature_of[lam] = signature
+        assert sorted(signature_of) == lam_cols
+        # no two columns bound the same block
+        assert len(set(signature_of.values())) == len(signature_of)
+        # every column enters some family row
+        family = ~np.char.startswith(kinds, "epi.")
+        assert np.all(A[family][:, lam_cols].getnnz(axis=0) > 0)
 
     blocks, columns = map(int, re.search(
         r"(\d+) absolute-value blocks share (\d+) epigraph columns", caplog.text).groups())
-    assert columns == len(lam_cols) < blocks
+    assert columns == prog.n_vars - prog.state_columns.stop < blocks
 
 
 # ---------------------------------------------------------------------------
@@ -568,3 +578,25 @@ def test_state_blocks_equal_the_condensed_map(monkeypatch, a, t_rp):
         ref = (W @ prog.matrices["TH"]).toarray()
         assert np.count_nonzero(ref) > 0
         np.testing.assert_allclose(seen[name].toarray(), ref, rtol=1e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("a", [0.0, -1e-6, -1e-9, -0.02])
+def test_state_row_gamma_coefficient_is_the_carry_over_sum(a):
+    # a fixed reference has no absolute-value blocks, so the gamma
+    # coefficient of state row s is c*T_S*sum_{j<s} f^j; the closed form
+    # (1 - f^s)/(1 - f) cancels near f = 1
+    prob = load_problem(str(CONFIG_DIR / "powerwall_1day.cfg"))
+    prog = assemble(dataclasses.replace(prob.params, a=a), prob.ts, prob.structure)
+    assert prog.layout.n_q == 0
+    rows = np.flatnonzero(np.isin(prog.row_kind, [robust_lp._KIND_CODE["state.hi"],
+                                                  robust_lp._KIND_CODE["state.lo"]]))
+    assert rows.size == 2 * prog.counts.N_S
+    got = prog.A[rows, prog.layout.gamma].toarray().ravel()
+    with mpmath.workdps(50):
+        f = mpmath.mpf(prog.dd.f)
+        c_t = mpmath.mpf(prog.params.c) * prog.ts.T_S / 3600
+        carry = [mpmath.mpf(0)]
+        for _ in range(prog.counts.N_S):
+            carry.append(carry[-1] * f + 1)
+        want = np.array([float(c_t * carry[s]) for s in prog.row_meta1[rows]])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
