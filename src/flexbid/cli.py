@@ -176,16 +176,6 @@ class _Config:
     def integer(self, section, key, default=None, required=False):
         return self._parse(section, key, lambda t: int(t.strip()), default, required)
 
-    def boolean(self, section, key, default=None, required=False):
-        def conv(t):
-            low = t.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"cannot parse boolean {t!r}")
-        return self._parse(section, key, conv, default, required)
-
     def text(self, section, key, default=None, required=False):
         return self._parse(section, key, lambda t: t, default, required)
 
@@ -266,7 +256,6 @@ def load_problem(path: str) -> Problem:
         T_RP=cfg.duration(sec, "T_RP", default=0),
         T_ID_lead=cfg.duration(sec, "T_ID_lead", default=0),
         DA_gate_offset=cfg.duration(sec, "DA_gate_offset", default=11 * 3600),
-        starts_at_day_boundary=cfg.boolean(sec, "starts_at_day_boundary", default=True),
     )
     try:
         counts = derive_counts(ts)
@@ -357,7 +346,7 @@ def _print_solution(payload: dict, as_json: bool) -> None:
         stats = payload["stats"]
         if not stats["certified"]:
             print(f"certified false max_violation {stats['max_violation']:.3e}")
-        print(f"solver {stats.get('backend')} iterations {stats.get('iterations')} "
+        print(f"solver highs iterations {stats.get('iterations')} "
               f"wall_s {stats.get('wall_time', 0.0):.2f}")
 
 
@@ -365,8 +354,7 @@ def cmd_solve(args) -> int:
     problem = load_problem(args.config)
     prog = robust_lp.assemble(problem.params, problem.ts, problem.structure,
                               problem.objective)
-    sol = robust_lp.solve(prog, backend=args.backend,
-                          refine_ramp=not args.no_refine_ramp)
+    sol = robust_lp.solve(prog, refine_ramp=not args.no_refine_ramp)
     payload = _solution_payload(sol)
     _print_solution(payload, args.json)
     if sol.status == solvers.OPTIMAL and args.save_policy:
@@ -413,12 +401,12 @@ def cmd_verify(args) -> int:
 
 
 def _suite_entry(entry) -> dict:
-    name, path, backend, refine = entry
+    name, path, refine = entry
     try:
         problem = load_problem(path)
         prog = robust_lp.assemble(problem.params, problem.ts, problem.structure,
                                   problem.objective)
-        sol = robust_lp.solve(prog, backend=backend, refine_ramp=refine)
+        sol = robust_lp.solve(prog, refine_ramp=refine)
     except (ConfigError, ValueError) as exc:
         return {"name": name, "status": "config_error", "error": str(exc)}
     out = {"name": name, "status": sol.status}
@@ -457,7 +445,7 @@ def load_suite(path: str) -> list[tuple[str, str]]:
 
 def cmd_suite(args) -> int:
     entries = load_suite(args.suite)
-    work = [(name, path, args.backend, not args.no_refine_ramp) for name, path in entries]
+    work = [(name, path, not args.no_refine_ramp) for name, path in entries]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_suite_entry, work))
@@ -492,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="assemble and solve one problem config")
     p_solve.add_argument("config")
-    p_solve.add_argument("--backend", default="highs", choices=sorted(solvers.BACKENDS))
     p_solve.add_argument("--no-refine-ramp", action="store_true",
                          help="skip the second solve that flattens the reference")
     p_solve.add_argument("--save-policy", metavar="FILE")
@@ -516,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="solve every config listed in a suite file")
     p_suite.add_argument("suite")
-    p_suite.add_argument("--backend", default="highs", choices=sorted(solvers.BACKENDS))
     p_suite.add_argument("--jobs", type=int, default=1)
     p_suite.add_argument("--no-refine-ramp", action="store_true")
     p_suite.add_argument("--json", action="store_true")

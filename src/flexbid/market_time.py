@@ -35,11 +35,9 @@ _SCALE_FIELD = {"RES": "T_RES", "DA": "T_DA", "ID": "T_ID", "S": "T_S", "C": "T_
 class Timescales:
     """Integer-second market timescales for one tendering horizon.
 
-    ``DA_gate_offset`` is the time of day (seconds after midnight) at which
-    the day-ahead auction for the next delivery day closes.
-    ``starts_at_day_boundary`` records that t=0 is the start of a delivery
-    day; the day-ahead information structure is only defined for that
-    alignment.
+    ``t = 0`` is the start of a delivery day.  ``DA_gate_offset`` is the
+    time of day (seconds after midnight) at which the day-ahead auction for
+    the next delivery day closes.
     """
 
     T_H: int
@@ -51,7 +49,6 @@ class Timescales:
     T_RP: int = 0
     T_ID_lead: int = 0
     DA_gate_offset: int = 11 * SECONDS_PER_HOUR
-    starts_at_day_boundary: bool = True
 
     def chain(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in _CHAIN)

@@ -34,8 +34,8 @@ def _col_name(j: int) -> str:
     return f"C{j + 1:07d}"
 
 
-def write_mps(target, path: str, name: str = "FLEXBID") -> None:
-    """Write a program to ``path``.
+def write_mps(target, path: str) -> None:
+    """Write a program to ``path`` as the MPS problem ``FLEXBID``.
 
     ``target`` is either an assembled robust program (written negated, in
     minimize form) or a raw minimize-form problem.
@@ -54,7 +54,7 @@ def write_mps(target, path: str, name: str = "FLEXBID") -> None:
         if negated:
             w("* minimize form of a maximize program: COST is the negated\n")
             w("* objective, so negate the optimal value to recover it.\n")
-        w(f"NAME {name}\n")
+        w("NAME FLEXBID\n")
         w("ROWS\n")
         w(" N COST\n")
         for i in range(n_rows):

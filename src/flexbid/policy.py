@@ -85,8 +85,6 @@ def build_da_mask(counts: IndexCounts, ts: Timescales, n_da_lookback: int) -> np
     """
     if n_da_lookback < 0:
         raise ValueError(f"N_DA_lb must be >= 0, got {n_da_lookback}")
-    if not ts.starts_at_day_boundary:
-        raise ValueError("day-ahead information structure requires day-aligned horizons")
     n = counts.N_DA
     mask = np.zeros((n, n), dtype=bool)
     if n_da_lookback == 0:

@@ -381,7 +381,7 @@ class RobustProgram:
         )
 
     def as_lp_data(self) -> solvers.LpData:
-        """Minimization payload for a backend (objective negated)."""
+        """Minimization payload for the solver (objective negated)."""
         return solvers.LpData(c=-self.obj, A=self.A, rhs=self.rhs,
                               lo=self.var_lo, hi=self.var_hi)
 
@@ -406,29 +406,20 @@ def build_market_matrices(ts: Timescales, counts: IndexCounts) -> dict:
 
 
 def _theta_symbol(layout: VariableLayout, mats: dict, n_s: int) -> sp.csr_matrix:
-    """Sparse d(Theta[s, i]) / d(Q entries), flat column i * n_q + v."""
+    """Sparse d(Theta[s, i]) / d(Q entries), flat column i * n_q + v.
+
+    Entry v = (k, j) adds left[s, v] * avg[v, i] at column i * n_q + v,
+    where ``left`` holds slot k's column of RM (day-ahead) or R (intra-day)
+    and ``avg`` the averaging row j.  ``spread`` gives each avg[v, i] a
+    column of its own, so every entry of the product is a single product.
+    """
     n_q = layout.n_q
-    rows, cols, data = [], [], []
-    specs = (
-        (layout.qda_entries, 0, mats["RM"].tocsc(), mats["A_DA"].tocsr()),
-        (layout.qid_entries, layout.n_qda, mats["R"].tocsc(), mats["A_ID"].tocsr()),
-    )
-    for entries, offset, left_csc, avg_csr in specs:
-        for v_local, (k, j) in enumerate(entries):
-            v = offset + v_local
-            left = left_csc.getcol(int(k)).tocoo()      # breakpoints touched by slot k
-            avg = avg_csr.getrow(int(j)).tocoo()        # T_S intervals averaged by row j
-            if left.nnz == 0 or avg.nnz == 0:
-                continue
-            rows.append(np.repeat(left.row, avg.nnz))
-            cols.append(np.tile(avg.col * n_q + v, left.nnz))
-            data.append(np.outer(left.data, avg.data).ravel())
-    if rows:
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_s + 1, n_s * n_q),
-        )
-    return sp.csr_matrix((n_s + 1, max(n_s * n_q, 0)))
+    qda, qid = layout.qda_entries, layout.qid_entries
+    left = sp.hstack([mats["RM"][:, qda[:, 0]], mats["R"][:, qid[:, 0]]], format="csr")
+    avg = sp.vstack([mats["A_DA"][qda[:, 1]], mats["A_ID"][qid[:, 1]]]).tocoo()
+    spread = sp.csr_matrix((avg.data, (avg.row, avg.col * n_q + avg.row)),
+                           shape=(n_q, n_s * n_q))
+    return (left @ spread).sorted_indices()
 
 
 def _epigraph_columns(
@@ -628,6 +619,11 @@ def assemble(
         )
     objective = objective or ObjectiveSpec()
     problems = params.validate(counts.N_S)
+    # the envelope rows of lossy storage drift by a*x_lo and a*x_hi
+    for name in ("x_lo", "x_hi"):
+        if params.a != 0.0 and np.any(np.isinf(getattr(params, name))):
+            problems.append(f"{name} must be finite for lossy storage (a = {params.a}): "
+                            f"the state envelopes drift by a * {name}")
     if structure.mask_DA.shape != (counts.N_DA, counts.N_DA):
         problems.append(f"mask_DA shape {structure.mask_DA.shape} != N_DA {counts.N_DA}")
     if structure.mask_ID.shape != (counts.N_ID, counts.N_ID):
@@ -838,12 +834,7 @@ def _slope_program(prog: RobustProgram, objective_floor: float) -> tuple[RobustP
     return refined, t_col
 
 
-def solve(
-    prog: RobustProgram,
-    backend: str = "highs",
-    *,
-    refine_ramp: bool = False,
-) -> Solution:
+def solve(prog: RobustProgram, *, refine_ramp: bool = False) -> Solution:
     """Solve the assembled program; optionally re-solve for the flattest
     optimal reference (same objective value, minimal worst-case step).
 
@@ -854,9 +845,8 @@ def solve(
     the objective the refinement started from (it may give up a relative
     1e-7 of it).
     """
-    res = solvers.solve_lp(prog.as_lp_data(), backend=backend)
+    res = solvers.solve_lp(prog.as_lp_data())
     stats = {
-        "backend": backend,
         "iterations": res.iterations,
         "wall_time": res.wall_time,
         "message": res.message,
@@ -876,7 +866,7 @@ def solve(
         stats["first_stage_objective"] = objective
         floor = objective - 1e-7 * max(1.0, abs(objective))
         refined, t_col = _slope_program(prog, floor)
-        res2 = solvers.solve_lp(refined.as_lp_data(), backend=backend)
+        res2 = solvers.solve_lp(refined.as_lp_data())
         if res2.status == solvers.OPTIMAL:
             x = res2.x[:prog.n_vars]
             objective = float(prog.obj @ x)

@@ -1,14 +1,14 @@
-"""Pluggable LP backends.
+"""The LP solve: one call of HiGHS through ``scipy.optimize.linprog``.
 
-A backend consumes the canonical sparse form
+:func:`solve_lp` consumes the canonical sparse form
 
     minimize    c @ x
     subject to  A @ x <= rhs
                 lo <= x <= hi
 
-and returns a :class:`BackendResult`.  The shipped adapters wrap
-``scipy.optimize.linprog`` (HiGHS family); additional backends can be
-registered under a new name in :data:`BACKENDS`.
+and returns a :class:`BackendResult` with a normalized status.  Callers
+look ``solve_lp`` up through this module, so a test or a tracer can put
+another function in its place.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ FAILED = "backend_failure"
 
 @dataclass
 class LpData:
-    """Canonical sparse LP payload handed to a backend."""
+    """Canonical sparse LP payload handed to the solver."""
 
     c: np.ndarray
     A: sp.csr_matrix
@@ -51,7 +51,7 @@ class BackendResult:
 _SCIPY_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
-def _solve_scipy(data: LpData, method: str) -> BackendResult:
+def solve_lp(data: LpData) -> BackendResult:
     started = time.perf_counter()
     bounds = np.column_stack([data.lo, data.hi])
     has_rows = data.A.shape[0] > 0
@@ -61,7 +61,7 @@ def _solve_scipy(data: LpData, method: str) -> BackendResult:
             A_ub=data.A if has_rows else None,
             b_ub=data.rhs if has_rows else None,
             bounds=bounds,
-            method=method,
+            method="highs",
         )
     except Exception as exc:  # malformed input, solver crash
         return BackendResult(status=FAILED, message=str(exc))
@@ -78,22 +78,3 @@ def _solve_scipy(data: LpData, method: str) -> BackendResult:
         iterations=nit,
         wall_time=elapsed,
     )
-
-
-def _scipy_backend(method: str):
-    return lambda data: _solve_scipy(data, method)
-
-
-BACKENDS = {
-    "highs": _scipy_backend("highs"),
-    "highs-ds": _scipy_backend("highs-ds"),
-    "highs-ipm": _scipy_backend("highs-ipm"),
-}
-
-
-def solve_lp(data: LpData, backend: str = "highs") -> BackendResult:
-    try:
-        run = BACKENDS[backend]
-    except KeyError:
-        raise ValueError(f"unknown backend {backend!r}, available: {sorted(BACKENDS)}")
-    return run(data)

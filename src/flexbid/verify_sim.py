@@ -67,10 +67,10 @@ class ActivationSignal:
 def gen_signal(kind: str, ts: Timescales, seed: int | None = None, **kw) -> ActivationSignal:
     """Generate a test signal of one of the named kinds.
 
-    Keyword options: ``level`` (sustained), ``period`` and ``amplitude``
-    (square_wave, period in seconds; half the period must be a positive
-    multiple of T_C; the default is the largest such period up to T_ID,
-    and at least 2·T_C), ``step`` (clipped_random_walk).
+    Keyword options: ``level`` (sustained), ``period`` (square_wave
+    between +1 and -1, period in seconds; half the period must be a
+    positive multiple of T_C; the default is the largest such period up
+    to T_ID, and at least 2·T_C), ``step`` (clipped_random_walk).
     """
     counts = derive_counts(ts)
     n = counts.N_C + 1
@@ -84,9 +84,7 @@ def gen_signal(kind: str, ts: Timescales, seed: int | None = None, **kw) -> Acti
         if period <= 0 or period % (2 * ts.T_C) != 0:
             raise ValueError(f"square_wave period {period} s: half the period must be a "
                              f"positive multiple of T_C = {ts.T_C} s")
-        amplitude = float(kw.get("amplitude", 1.0))
-        values = np.where((t // (period // 2)) % 2 == 0, amplitude, -amplitude)
-        values = values.astype(float)
+        values = np.where((t // (period // 2)) % 2 == 0, 1.0, -1.0)
     elif kind == "uniform_random":
         rng = np.random.default_rng(seed)
         values = rng.uniform(-1.0, 1.0, size=n)
@@ -232,15 +230,6 @@ def _fine_reference(profile: ReferenceProfile, ts: Timescales) -> np.ndarray:
     return fine
 
 
-def _pointwise_bounds(per_interval: np.ndarray, m: int, tighter) -> np.ndarray:
-    """Bound applying at each of the ``m * n + 1`` grid instants of ``n``
-    intervals; interior boundary instants take the tighter of the two
-    adjacent intervals."""
-    out = np.append(np.repeat(per_interval, m), per_interval[-1])
-    out[m:-1:m] = tighter(per_interval[:-1], per_interval[1:])
-    return out
-
-
 def _bound_scale(*bounds: np.ndarray) -> float:
     """Largest finite bound magnitude, floored at 1."""
     mags = np.abs(np.concatenate(bounds))
@@ -317,9 +306,12 @@ def check_feasibility(
     # interval's instants, its end instant included, so a boundary instant
     # meets the tighter of its two intervals' bounds; rounded subtraction is
     # monotone, so the margins equal the instant-by-instant ones exactly
+    def windows(values: np.ndarray, width: int) -> np.ndarray:
+        return np.lib.stride_tricks.sliding_window_view(values, width)[::m]
+
     def extremes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        windows = np.lib.stride_tricks.sliding_window_view(values, width)[::m]
-        return windows.max(axis=1), windows.min(axis=1)
+        w = windows(values, width)
+        return w.max(axis=1), w.min(axis=1)
 
     p_max, p_min = extremes(p_target, m + 1)
     margins = {"power": float(min(np.min(params.p_hi - p_max), np.min(p_min - params.p_lo)))}
@@ -354,9 +346,13 @@ def check_feasibility(
         dn = float(np.min(x_min - params.x_lo))
         margins["state"] = min(margins["state"], up, dn)
         if min(up, dn) < -tol * scales["state"]:
-            x_hi_pt = _pointwise_bounds(params.x_hi, m, np.minimum)
-            x_lo_pt = _pointwise_bounds(params.x_lo, m, np.maximum)
-            worst = int(np.argmin(np.minimum(x_hi_pt - x, x - x_lo_pt)))
+            # windows run in time order and share only their boundary
+            # instant, so the first smallest slack is the earliest instant
+            # at which the tighter of its intervals' bounds is broken most
+            w = windows(x, m + 1)
+            slack = np.minimum(params.x_hi[:, None] - w, w - params.x_lo[:, None])
+            j, offset = np.unravel_index(np.argmin(slack), slack.shape)
+            worst = int(j * m + offset)
             messages.append(
                 f"state limit violated from x0={x0:g} at t={worst * ts.T_C}s "
                 f"(x={x[worst]:.6f})")
@@ -399,8 +395,6 @@ def vertex_oracle(
     ts: Timescales,
     structure: PolicyStructure,
     objective: ObjectiveSpec | None = None,
-    backend: str = "highs",
-    max_dim: int = 12,
 ):
     """Solve the bidding problem by enumerating activation vertices.
 
@@ -408,15 +402,15 @@ def vertex_oracle(
     linear in the averaged signal and every constraint is affine in it, so
     feasibility against the box reduces to feasibility at its vertices.
     Builds the constraints numerically per vertex with none of the robust
-    reformulation code.  Exponential in N_S; refuses anything bigger than
-    ``max_dim`` intervals.
+    reformulation code.  Exponential in N_S; refuses more than 12
+    intervals.
     """
     if params.a != 0.0:
         raise ValueError("vertex enumeration requires lossless storage (a = 0)")
     counts = derive_counts(ts)
     n_s = counts.N_S
-    if n_s > max_dim:
-        raise ValueError(f"N_S = {n_s} too large for vertex enumeration (max {max_dim})")
+    if n_s > 12:
+        raise ValueError(f"N_S = {n_s} too large for vertex enumeration (max 12)")
     objective = objective or ObjectiveSpec()
     mats = build_market_matrices(ts, counts)
     layout = VariableLayout(
@@ -545,9 +539,6 @@ def vertex_oracle(
     else:
         raise ValueError(f"unknown objective kind {objective.kind!r}")
 
-    res = solvers.solve_lp(
-        solvers.LpData(c=-obj, A=A, rhs=rhs, lo=lo, hi=hi),
-        backend=backend,
-    )
+    res = solvers.solve_lp(solvers.LpData(c=-obj, A=A, rhs=rhs, lo=lo, hi=hi))
     value = -res.objective if res.objective is not None else None
     return res.status, value, res.x

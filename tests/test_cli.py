@@ -117,21 +117,20 @@ def test_solve_json_payload(capsys):
     payload = json.loads(out)
     assert payload["status"] == "optimal"
     assert payload["gamma_kw"] == pytest.approx(3.75, abs=1e-8)
-    assert payload["stats"]["backend"] == "highs"
     assert payload["required_ramp_kw_per_s"] > 0
 
 
 @pytest.fixture
 def perturbed_backend(monkeypatch):
-    """The highs backend, returning its point shifted off the rows."""
-    exact = solvers.BACKENDS["highs"]
+    """The HiGHS call, returning its point shifted off the rows."""
+    exact = solvers.solve_lp
 
     def perturbed(data):
         res = exact(data)
         res.x = res.x + 1e-3
         return res
 
-    monkeypatch.setitem(solvers.BACKENDS, "highs", perturbed)
+    monkeypatch.setattr(solvers, "solve_lp", perturbed)
 
 
 def test_solve_uncertified_point_exit_code(capsys, perturbed_backend):
@@ -311,6 +310,18 @@ def test_conflicting_initial_state(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "not both" in err
+
+
+@pytest.mark.parametrize("limit", ["x_lo", "x_hi"])
+def test_lossy_storage_needs_finite_state_limits(tmp_path, capsys, limit):
+    infinite = {"x_lo": ("x_min = 0 kWh", "x_min = -inf kWh"),
+                "x_hi": ("x_max = 15 kWh", "x_max = inf kWh")}[limit]
+    path = write_cfg(tmp_path, lambda t: t.replace("a = 0 1/h", "a = -0.02 1/h")
+                     .replace(*infinite))
+    code = main(["solve", path])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"{limit} must be finite for lossy storage" in err
 
 
 def test_missing_config_file(capsys):

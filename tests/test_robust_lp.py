@@ -34,6 +34,9 @@ Proves:
  12. The gamma coefficient of a fixed-reference state row is the
      carry-over sum c*T_S*sum_{j<s} f^j to 1e-13 relative, also for f
      within 1e-10 of 1.
+ 13. Each Q entry's columns of the Theta symbol are the Theta of the unit
+     policy on that entry, over two days with day-ahead and intra-day
+     adjustment, ramped and held.
 """
 
 from __future__ import annotations
@@ -426,14 +429,14 @@ def test_refinement_keeps_objective_and_flattens():
 def test_uncertified_point_is_flagged(monkeypatch):
     ts, counts, params, structure = make(2)
     prog = assemble(params, ts, structure)
-    exact = solvers.BACKENDS["highs"]
+    exact = solvers.solve_lp
 
     def perturbed(data):
         res = exact(data)
         res.x = res.x + 1e-3
         return res
 
-    monkeypatch.setitem(solvers.BACKENDS, "highs", perturbed)
+    monkeypatch.setattr(solvers, "solve_lp", perturbed)
     sol = solve(prog)
     assert sol.status == "optimal"
     assert sol.stats["max_violation"] > 1e-7
@@ -578,6 +581,27 @@ def test_state_blocks_equal_the_condensed_map(monkeypatch, a, t_rp):
         ref = (W @ prog.matrices["TH"]).toarray()
         assert np.count_nonzero(ref) > 0
         np.testing.assert_allclose(seen[name].toarray(), ref, rtol=1e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("t_rp", [10 * MIN, 0], ids=["interpolated", "held"])
+def test_theta_symbol_is_the_unit_policy_reference_map(t_rp):
+    ts, counts, params, structure = make(48, t_rp=t_rp, da_lb=24, id_lb=1)
+    prog = assemble(params, ts, structure)
+    lay, mats = prog.layout, prog.matrices
+    assert lay.n_qda > 0 and lay.n_qid > 0
+    TH = mats["TH"].tocsc()
+    zero = prog.decode_policy(np.zeros(prog.n_vars))
+    for v in range(lay.n_q):
+        day_ahead = v < lay.n_qda
+        (k, j), n = ((lay.qda_entries[v], lay.n_da) if day_ahead
+                     else (lay.qid_entries[v - lay.n_qda], lay.n_id))
+        unit = sp.csr_matrix(([1.0], ([k], [j])), shape=(n, n))
+        pol = dataclasses.replace(zero, **{"Q_DA" if day_ahead else "Q_ID": unit})
+        theta, _ = reference_affine_map(pol, mats["M"], mats["R"], mats["A_DA"], mats["A_ID"])
+        assert theta.nnz > 0
+        # |TH - theta| <= 1e-14 |theta| entrywise, implicit zeros included
+        excess = abs(TH[:, v::lay.n_q] - theta) - 1e-14 * abs(theta)
+        assert excess.max() <= 0, prog.var_name(v)
 
 
 @pytest.mark.parametrize("a", [0.0, -1e-6, -1e-9, -0.02])

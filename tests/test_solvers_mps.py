@@ -1,8 +1,8 @@
-"""LP backend adapters and the MPS export/import pair.
+"""The HiGHS call and the MPS export/import pair.
 
 Proves:
   1. solve_lp recovers hand-checked optima and classifies infeasible and
-     unbounded programs correctly, for every registered backend.
+     unbounded programs correctly.
   2. MPS files round-trip the full LP payload (matrix, rhs, bounds,
      objective) at repr precision, every row written as an L row, and
      both sides solve to the same optimum.
@@ -22,14 +22,7 @@ import scipy.sparse as sp
 from flexbid import SystemParams, Timescales, assemble, read_mps, write_mps
 from flexbid.policy import PolicyStructure
 from flexbid.market_time import derive_counts
-from flexbid.solvers import (
-    BACKENDS,
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    LpData,
-    solve_lp,
-)
+from flexbid.solvers import INFEASIBLE, OPTIMAL, UNBOUNDED, LpData, solve_lp
 
 MIN = 60
 HOUR = 3600
@@ -47,10 +40,9 @@ def small_lp() -> LpData:
     )
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_known_optimum(backend):
+def test_known_optimum():
     # optimum at x=1, y=3 (corner of -x+y<=2 and y<=3): objective -7
-    res = solve_lp(small_lp(), backend=backend)
+    res = solve_lp(small_lp())
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(-7.0, abs=1e-9)
     assert np.allclose(res.x, [1.0, 3.0], atol=1e-8)
@@ -73,11 +65,6 @@ def test_unbounded_detected():
         hi=np.array([np.inf]),
     )
     assert solve_lp(data).status == UNBOUNDED
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        solve_lp(small_lp(), backend="simplex9000")
 
 
 # ---------------------------------------------------------------------------

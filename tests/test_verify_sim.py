@@ -22,8 +22,10 @@ Proves:
      refused with specific messages, including a signal sampled on another
      control grid.
   8. Infinite state limits on one side leave the other side checked.
-  9. The pointwise bounds match "the tighter of the intervals on either
-     side of each instant" for random bounds, infinite ones included.
+  9. A state violation is reported at the instant and state that the
+     brute-force rule gives (first instant of smallest slack against the
+     tighter of the intervals on either side of it), for random bounds
+     with ties and infinite ones.
  10. Integer-typed signal and baseload arrays give the same report as
      their float copies.
  11. The fine reference equals np.interp of the breakpoints bit for bit
@@ -68,7 +70,7 @@ from flexbid import (
 )
 from flexbid import verify_sim
 from flexbid.reference_map import ReferenceProfile
-from flexbid.verify_sim import SIGNAL_KINDS, _fine_reference, _pointwise_bounds
+from flexbid.verify_sim import SIGNAL_KINDS, _fine_reference
 
 MIN = 60
 HOUR = 3600
@@ -477,7 +479,7 @@ def test_signal_on_another_control_grid_is_refused(solved_2h):
 
 
 # ---------------------------------------------------------------------------
-# pointwise bounds
+# locating a state violation
 
 
 def interval_bounds_reference(per_interval, m, tighter):
@@ -491,16 +493,44 @@ def interval_bounds_reference(per_interval, m, tighter):
     return np.array(out)
 
 
-bound_values = st.one_of(st.floats(-50, 50), st.sampled_from([-np.inf, np.inf]))
+# few distinct values, so bounds, slacks and states tie often; a pair's
+# limits are never both -inf or both +inf
+ties = [-1.0, 0.0, 0.5, 1.0]
+bound_pairs = st.tuples(st.sampled_from([-np.inf] + ties) | st.floats(-2, 2),
+                        st.sampled_from(ties + [np.inf])).map(sorted)
 
 
-@settings(deadline=None)
-@given(per_interval=st.lists(bound_values, min_size=1, max_size=8),
-       m=st.integers(1, 5), upper=st.booleans())
-def test_pointwise_bounds_match_interval_rule(per_interval, m, upper):
-    tighter, reduce = (np.minimum, min) if upper else (np.maximum, max)
-    got = _pointwise_bounds(np.array(per_interval), m, tighter)
-    np.testing.assert_array_equal(got, interval_bounds_reference(per_interval, m, reduce))
+@settings(deadline=None, max_examples=200)
+@given(pairs=st.lists(bound_pairs, min_size=1, max_size=8), m=st.integers(1, 5),
+       t_c=st.sampled_from([1, 60]), a=st.sampled_from([0.0, -0.5]),
+       c=st.sampled_from([0.0, 1.0]), gamma=st.floats(0, 30),
+       kind=st.sampled_from(["sustained", "square_wave", "uniform_random"]),
+       x0=st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-2, 2)))
+def test_state_violation_located_by_interval_rule(pairs, m, t_c, a, c, gamma, kind, x0):
+    n_s = len(pairs)
+    ts = breakpoint_grid(n_s, m, t_c, held=False)
+    x_lo, x_hi = np.array(pairs).T
+    x0_min, x0_max = sorted(np.clip(x0, x_lo[0], x_hi[0]))
+    params = SystemParams(a=a, b=0.0, c=c, u=np.zeros(n_s),
+                          p_lo=np.full(n_s, -50.0), p_hi=np.full(n_s, 50.0),
+                          r_lo=np.full(n_s, -np.inf), r_hi=np.full(n_s, np.inf),
+                          x_lo=x_lo, x_hi=x_hi, x0_min=x0_min, x0_max=x0_max)
+    sig = gen_signal(kind, ts, seed=3)
+    report = verify_sim.check_feasibility(zero_policy(derive_counts(ts), gamma), sig, params, ts)
+
+    # the zero policy's reference is 0, added as the check adds it
+    p_target = gamma * sig.values + 0.0
+    hi_pt = interval_bounds_reference(x_hi, m, min)
+    lo_pt = interval_bounds_reference(x_lo, m, max)
+    expected = []
+    for start in sorted({x0_min, x0_max}):
+        x = simulate_state(params, ts, p_target, start)
+        slack = np.minimum(hi_pt - x, x - lo_pt)
+        if slack.min() < -report.tol * report.scales["state"]:
+            k = int(np.argmin(slack))
+            expected.append(f"state limit violated from x0={start:g} at t={k * t_c}s "
+                            f"(x={x[k]:.6f})")
+    assert report.messages == expected
 
 
 # ---------------------------------------------------------------------------
