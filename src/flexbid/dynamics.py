@@ -83,17 +83,6 @@ def epsilon_bound(a: float, t_step: float) -> tuple[float, float]:
     return float(eps), float(e_hat)
 
 
-def activation_integral_bounds(a: float, c: float, t_step: float) -> tuple[float, float]:
-    """Nominal coefficient and slack radius for the activation carry-over.
-
-    v_s = c*int_0^T e^{a tau} w(sT - tau) dtau lies within
-    ``nominal * w_tilde_s +/- slack`` for any admissible w, where
-    ``nominal = c*e_a_tau_hat*T`` and ``slack = c*eps*T``.
-    """
-    eps, e_hat = epsilon_bound(a, t_step)
-    return c * e_hat * t_step, c * eps * t_step
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Physical limits and model coefficients of the flexible system.
@@ -162,6 +151,10 @@ class SystemParams:
             problems.append("x_lo must be <= x_hi componentwise")
         if np.any(self.r_lo > 0) or np.any(self.r_hi < 0):
             problems.append("ramp limits must satisfy r_lo <= 0 <= r_hi componentwise")
+        if not (np.isfinite(self.x0_min) and np.isfinite(self.x0_max)):
+            problems.append(
+                f"initial state x0_min/x0_max must be finite, got [{self.x0_min}, {self.x0_max}]"
+            )
         if not self.x0_min <= self.x0_max:
             problems.append(f"x0_min ({self.x0_min}) must be <= x0_max ({self.x0_max})")
         if self.x0_min < self.x_lo[0] or self.x0_max > self.x_hi[0]:

@@ -27,9 +27,6 @@ SECONDS_PER_DAY = 86400
 #: chain fields ordered longest to shortest
 _CHAIN = ("T_H", "T_RES", "T_DA", "T_ID", "T_S", "T_C")
 
-#: scale key accepted by :func:`interval_index` -> Timescales field
-_SCALE_FIELD = {"RES": "T_RES", "DA": "T_DA", "ID": "T_ID", "S": "T_S", "C": "T_C"}
-
 
 @dataclass(frozen=True)
 class Timescales:
@@ -52,10 +49,6 @@ class Timescales:
 
     def chain(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in _CHAIN)
-
-    def hours(self, seconds: int | float) -> float:
-        """Convert a duration in seconds to hours (energy bookkeeping unit)."""
-        return seconds / SECONDS_PER_HOUR
 
 
 def validate_timescales(ts: Timescales) -> list[str]:
@@ -133,17 +126,3 @@ def derive_counts(ts: Timescales) -> IndexCounts:
         N_C=ts.T_H // ts.T_C,
     )
 
-
-def interval_index(t: float, scale: str, ts: Timescales) -> int:
-    """1-based index of the ``scale`` interval containing time ``t`` seconds.
-
-    Intervals are half open, ``[(k-1)*T, k*T)``, so boundaries belong to the
-    interval they start.  ``t`` must satisfy ``0 <= t < T_H``.
-    """
-    try:
-        period = getattr(ts, _SCALE_FIELD[scale])
-    except KeyError:
-        raise ValueError(f"unknown scale {scale!r}, expected one of {sorted(_SCALE_FIELD)}")
-    if not 0 <= t < ts.T_H:
-        raise ValueError(f"t={t} outside the horizon [0, {ts.T_H})")
-    return int(t // period) + 1

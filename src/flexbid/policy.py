@@ -103,10 +103,8 @@ def build_da_mask(counts: IndexCounts, ts: Timescales, n_da_lookback: int) -> np
 
 @dataclass(frozen=True)
 class PolicyStructure:
-    """Lookback depths plus the materialized dependency masks."""
+    """The materialized dependency masks."""
 
-    N_DA_lb: int
-    N_ID_lb: int
     mask_DA: np.ndarray
     mask_ID: np.ndarray
 
@@ -115,8 +113,6 @@ class PolicyStructure:
         cls, counts: IndexCounts, ts: Timescales, n_da_lookback: int, n_id_lookback: int
     ) -> "PolicyStructure":
         return cls(
-            N_DA_lb=n_da_lookback,
-            N_ID_lb=n_id_lookback,
             mask_DA=build_da_mask(counts, ts, n_da_lookback),
             mask_ID=build_id_mask(counts, ts, n_id_lookback),
         )

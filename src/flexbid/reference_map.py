@@ -79,27 +79,6 @@ def build_R(ts: Timescales, counts: IndexCounts) -> sp.csr_matrix:
 
 
 @dataclass(frozen=True)
-class BaselineSchedule:
-    """Energy positions per market grid; ``e_base = M @ e_DA + e_ID``."""
-
-    e_DA: np.ndarray
-    e_ID: np.ndarray
-    e_base: np.ndarray
-
-    @classmethod
-    def from_trades(
-        cls, e_DA: np.ndarray, e_ID: np.ndarray, M: sp.spmatrix
-    ) -> "BaselineSchedule":
-        e_DA = np.asarray(e_DA, dtype=float)
-        e_ID = np.asarray(e_ID, dtype=float)
-        if M.shape != (e_ID.size, e_DA.size):
-            raise ValueError(
-                f"baseline map has shape {M.shape}, expected ({e_ID.size}, {e_DA.size})"
-            )
-        return cls(e_DA=e_DA, e_ID=e_ID, e_base=M @ e_DA + e_ID)
-
-
-@dataclass(frozen=True)
 class ReferenceProfile:
     """Power reference breakpoints on the T_S grid.
 

@@ -33,7 +33,7 @@ from . import solvers
 from .dynamics import SystemParams, discretize
 from .market_time import SECONDS_PER_HOUR, IndexCounts, Timescales, derive_counts
 from .policy import AffinePolicy, PolicyStructure, mask_entries, realized_schedules
-from .reference_map import BaselineSchedule, ReferenceProfile, reference_from_baseline
+from .reference_map import ReferenceProfile, reference_from_baseline
 from .robust_lp import (EXPECTED_PROFIT, MAX_CAPACITY, ObjectiveSpec,
                         VariableLayout, build_market_matrices)
 
@@ -283,12 +283,15 @@ def check_feasibility(
         problems.append(f"Q_DA shape {policy.Q_DA.shape} does not match N_DA {counts.N_DA}")
     if policy.Q_ID.shape != (counts.N_ID, counts.N_ID):
         problems.append(f"Q_ID shape {policy.Q_ID.shape} does not match N_ID {counts.N_ID}")
+    if np.shape(policy.q_DA) != (counts.N_DA,):
+        problems.append(f"q_DA shape {np.shape(policy.q_DA)} does not match N_DA {counts.N_DA}")
+    if np.shape(policy.q_ID) != (counts.N_ID,):
+        problems.append(f"q_ID shape {np.shape(policy.q_ID)} does not match N_ID {counts.N_ID}")
     if problems:
         raise ValueError("cannot verify:\n  " + "\n  ".join(problems))
     w_avg = average_signal(sig, ts)
     e_da, e_id = realized_schedules(policy, w_avg, grid.A_DA, grid.A_ID)
-    base = BaselineSchedule.from_trades(e_da, e_id, grid.M)
-    profile = reference_from_baseline(base.e_base, grid.R, ts)
+    profile = reference_from_baseline(grid.M @ e_da + e_id, grid.R, ts)
 
     p_ref_fine = _fine_reference(profile, ts)
     p_target = np.multiply(policy.gamma, sig.values, dtype=float)

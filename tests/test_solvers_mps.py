@@ -1,28 +1,34 @@
-"""The HiGHS call and the MPS export/import pair.
+"""The HiGHS call and the MPS export.
 
 Proves:
   1. solve_lp recovers hand-checked optima and classifies infeasible and
      unbounded programs correctly.
   2. MPS files round-trip the full LP payload (matrix, rhs, bounds,
-     objective) at repr precision, every row written as an L row, and
-     both sides solve to the same optimum.
+     objective) at repr precision through HiGHS's own MPS reader, every
+     row written as an L row, and both sides solve to the same optimum.
   3. Free/negative/bounded variables map to the right BOUNDS codes.
   4. Assembled robust programs export with the documented
      maximize-to-minimize negation.
-  5. The reader rejects features the writer never emits (RANGES, G and
-     E rows, unknown bound codes).
+  5. An adjustable program with epigraph columns, written to a file and
+     solved from it, reaches the optimum of solve() on the program.
 """
 
 from __future__ import annotations
+
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from flexbid import SystemParams, Timescales, assemble, read_mps, write_mps
+import flexbid
+from flexbid import SystemParams, Timescales, assemble, solve, write_mps
+from flexbid.cli import load_problem
 from flexbid.policy import PolicyStructure
 from flexbid.market_time import derive_counts
 from flexbid.solvers import INFEASIBLE, OPTIMAL, UNBOUNDED, LpData, solve_lp
+
+highs = pytest.importorskip("scipy.optimize._highspy._core")
 
 MIN = 60
 HOUR = 3600
@@ -69,6 +75,21 @@ def test_unbounded_detected():
 
 # ---------------------------------------------------------------------------
 # MPS round-trip
+
+
+def read_mps(path) -> LpData:
+    """Read an MPS file with HiGHS's reader into minimize-form ``LpData``."""
+    reader = highs._Highs()
+    reader.setOptionValue("output_flag", False)
+    assert reader.readModel(str(path)) == highs.HighsStatus.kOk
+    lp = reader.getLp()
+    # every row the writer emits is an L row: no finite lower row bound
+    assert np.all(np.asarray(lp.row_lower_) == -np.inf)
+    a = lp.a_matrix_
+    A = sp.csc_matrix((np.asarray(a.value_), np.asarray(a.index_), np.asarray(a.start_)),
+                      shape=(lp.num_row_, lp.num_col_))
+    return LpData(c=np.asarray(lp.col_cost_), A=A, rhs=np.asarray(lp.row_upper_),
+                  lo=np.asarray(lp.col_lower_), hi=np.asarray(lp.col_upper_))
 
 
 def random_lp(rng, n_rows=14, n_cols=9) -> LpData:
@@ -168,24 +189,15 @@ def test_program_export_negates_objective(tmp_path):
     assert -res.objective == pytest.approx(3.75, abs=1e-6)
 
 
-@pytest.mark.parametrize("row_type, extra", [
-    ("L", "RANGES\n RNG R1 1.0\n"),
-    ("G", ""),
-    ("E", ""),
-], ids=["RANGES", "G", "E"])
-def test_reader_rejects_ranges(tmp_path, row_type, extra):
-    # programs are A x <= rhs: the writer emits only L rows and no RANGES
-    path = tmp_path / "unsupported.mps"
-    path.write_text("NAME T\nROWS\n N COST\n " + row_type + " R1\nCOLUMNS\n"
-                    " C1 COST 1.0 R1 1.0\nRHS\n B R1 2.0\n" + extra + "ENDATA\n")
-    with pytest.raises(ValueError):
-        read_mps(str(path))
-
-
-def test_reader_rejects_unknown_bound_code(tmp_path):
-    path = tmp_path / "badbound.mps"
-    path.write_text("NAME T\nROWS\n N COST\n L R1\nCOLUMNS\n"
-                    " C1 COST 1.0 R1 1.0\nRHS\n B R1 2.0\nBOUNDS\n"
-                    " XX BND C1 1.0\nENDATA\n")
-    with pytest.raises(ValueError):
-        read_mps(str(path))
+def test_adjustable_export_solves_to_the_same_optimum(tmp_path):
+    # intra-day lead-time config: the program has epigraph columns
+    problem = load_problem(str(pathlib.Path(flexbid.__file__).parent
+                               / "configs" / "powerwall_1day_lead1h.cfg"))
+    prog = assemble(problem.params, problem.ts, problem.structure, problem.objective)
+    assert prog.n_vars > prog.state_columns.stop
+    path = tmp_path / "lead1h.mps"
+    write_mps(prog, str(path))
+    res = solve_lp(read_mps(path))
+    assert res.status == OPTIMAL
+    # 12 significant digits in the file bound the agreement
+    assert -res.objective == pytest.approx(solve(prog).objective, rel=1e-9)

@@ -20,7 +20,7 @@ Proves:
      plateau jumps, where an interpolating state quadrature would not.
   7. Signals survive a save/load round trip and malformed inputs are
      refused with specific messages, including a signal sampled on another
-     control grid.
+     control grid and policy offsets q_DA, q_ID of the wrong length.
   8. Infinite state limits on one side leave the other side checked.
   9. A state violation is reported at the instant and state that the
      brute-force rule gives (first instant of smallest slack against the
@@ -468,6 +468,18 @@ def test_verification_refuses_malformed_inputs(solved_2h):
                                    Q_DA=sol.policy.Q_DA[:, :-1])
     with pytest.raises(ValueError, match="Q_DA shape"):
         check_feasibility(squeezed, gen_signal("zero", ts), params, ts)
+
+
+@pytest.mark.parametrize("name", ["q_DA", "q_ID"])
+def test_offsets_of_the_wrong_length_are_refused(solved_2h, name):
+    # a short q_DA would broadcast into another policy, a long q_ID would
+    # fail inside numpy without naming the field
+    ts, counts, params, sol = solved_2h
+    offset = getattr(sol.policy, name)
+    wrong = offset[:1] if name == "q_DA" else np.append(offset, 0.0)
+    policy = dataclasses.replace(sol.policy, **{name: wrong})
+    with pytest.raises(ValueError, match=rf"cannot verify[\s\S]*{name} shape"):
+        check_feasibility(policy, gen_signal("zero", ts), params, ts)
 
 
 def test_signal_on_another_control_grid_is_refused(solved_2h):
