@@ -15,7 +15,6 @@ own rows or bounds by more than the feasibility tolerance (reported with
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -376,19 +375,12 @@ def cmd_export(args) -> int:
 def cmd_verify(args) -> int:
     problem = load_problem(args.config)
     policy, _meta = load_policy(args.policy)
-    if args.gamma_scale != 1.0:
-        policy = dataclasses.replace(policy, gamma=policy.gamma * args.gamma_scale)
+    policy = dataclasses.replace(policy, gamma=policy.gamma * args.gamma_scale)
     if args.signal:
         sig = verify_sim.load_signal(args.signal)
     else:
-        kw = {}
-        if args.level is not None:
-            kw["level"] = args.level
-        if args.period is not None:
-            kw["period"] = args.period
-        if args.step is not None:
-            kw["step"] = args.step
-        sig = verify_sim.gen_signal(args.kind, problem.ts, seed=args.seed, **kw)
+        sig = verify_sim.gen_signal(args.kind, problem.ts, seed=args.seed,
+                                    level=args.level, period=args.period)
     structure_problems = policy.validate_against(problem.structure)
     report = verify_sim.check_feasibility(policy, sig, problem.params, problem.ts,
                                           tol=args.tol)
@@ -400,8 +392,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.feasible else EXIT_VERIFY
 
 
-def _suite_entry(entry) -> dict:
-    name, path, refine = entry
+def _suite_entry(name: str, path: str, refine: bool) -> dict:
     try:
         problem = load_problem(path)
         prog = robust_lp.assemble(problem.params, problem.ts, problem.structure,
@@ -445,19 +436,12 @@ def load_suite(path: str) -> list[tuple[str, str]]:
 
 def cmd_suite(args) -> int:
     entries = load_suite(args.suite)
-    work = [(name, path, not args.no_refine_ramp) for name, path in entries]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_suite_entry, work))
-    else:
-        results = [_suite_entry(item) for item in work]
-    by_name = {r["name"]: r for r in results}
-    ordered = [by_name[name] for name, _ in entries]
+    results = [_suite_entry(name, path, not args.no_refine_ramp) for name, path in entries]
     if args.json:
-        print(json.dumps(ordered, indent=2, sort_keys=True))
+        print(json.dumps(results, indent=2, sort_keys=True))
     else:
         width = max(len(name) for name, _ in entries)
-        for r in ordered:
+        for r in results:
             if r["status"] == solvers.OPTIMAL:
                 print(f"{r['name']:<{width}}  status {r['status']}  "
                       f"gamma_kw {r['gamma_kw']:.6f}  "
@@ -466,7 +450,7 @@ def cmd_suite(args) -> int:
             else:
                 print(f"{r['name']:<{width}}  status {r['status']}"
                       + (f"  error {r['error']}" if "error" in r else ""))
-    return max(_exit_code(r["status"], r.get("certified")) for r in ordered)
+    return max(_exit_code(r["status"], r.get("certified")) for r in results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,9 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--kind", default="uniform_random",
                           choices=verify_sim.SIGNAL_KINDS)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--level", type=float)
+    p_verify.add_argument("--level", type=float, default=1.0)
     p_verify.add_argument("--period", type=int)
-    p_verify.add_argument("--step", type=float)
     p_verify.add_argument("--tol", type=float, default=1e-6)
     p_verify.add_argument("--gamma-scale", type=float, default=1.0,
                           help="inflate the policy's reserve capacity before checking")
@@ -503,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="solve every config listed in a suite file")
     p_suite.add_argument("suite")
-    p_suite.add_argument("--jobs", type=int, default=1)
     p_suite.add_argument("--no-refine-ramp", action="store_true")
     p_suite.add_argument("--json", action="store_true")
     p_suite.set_defaults(func=cmd_suite)

@@ -135,6 +135,9 @@ class SystemParams:
 
     def validate(self, n_s: int) -> list[str]:
         problems: list[str] = []
+        for name in ("a", "b", "c", "u"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                problems.append(f"{name} must be finite")
         if self.a > 0:
             problems.append(f"a must be <= 0 (stable or integrating), got {self.a}")
         if self.c < 0:
@@ -145,12 +148,13 @@ class SystemParams:
                 problems.append(f"{name} must have shape ({n_s},), got {np.shape(vec)}")
         if problems:
             return problems
-        if np.any(self.p_lo > self.p_hi):
-            problems.append("p_lo must be <= p_hi componentwise")
-        if np.any(self.x_lo > self.x_hi):
-            problems.append("x_lo must be <= x_hi componentwise")
-        if np.any(self.r_lo > 0) or np.any(self.r_hi < 0):
-            problems.append("ramp limits must satisfy r_lo <= 0 <= r_hi componentwise")
+        # written so that a NaN limit fails them
+        if np.any(~(self.p_lo <= self.p_hi)):
+            problems.append("p_lo must be <= p_hi componentwise, neither NaN")
+        if np.any(~(self.x_lo <= self.x_hi)):
+            problems.append("x_lo must be <= x_hi componentwise, neither NaN")
+        if np.any(~(self.r_lo <= 0)) or np.any(~(self.r_hi >= 0)):
+            problems.append("ramp limits must satisfy r_lo <= 0 <= r_hi componentwise, none NaN")
         if not (np.isfinite(self.x0_min) and np.isfinite(self.x0_max)):
             problems.append(
                 f"initial state x0_min/x0_max must be finite, got [{self.x0_min}, {self.x0_max}]"

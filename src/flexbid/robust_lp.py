@@ -62,7 +62,14 @@ Families (one upper and/or lower row each):
          each envelope splits into a zero branch ("a" rows) and an affine
          branch ("b" rows), each robustified like the state family with
          the T_S/2-weighted breakpoint terms folded into the same
-         per-interval absolute-value blocks;
+         per-interval absolute-value blocks.  For lossless storage
+         (f = e_hat = 1, eps = 0) "b" row s and state row s read the same
+         z_s through the dyn rows and share every block but that of
+         w_tilde_s, and the state bound is no looser.  So a "b" row is
+         emitted only where that block holds policy terms: the state row
+         keeps c*T_S*gamma inside its absolute value, the "b" row adds it
+         outside.  No shipped config has such a block; a ramped reference
+         with T_ID_lead = 0 and an intra-day lookback does;
   slope  segment s = 1..N_S, ramp refinement only: the worst-case reference
          step |diff Theta|1 + |diff theta| <= t, with t a new column that
          the refinement minimizes; no activation carry-over.  One
@@ -147,7 +154,7 @@ class PriceData:
         return PriceData(c_RES=float(self.c_RES),
                          **{name: fill(name, grid) for name, grid in PRICE_SERIES.items()})
 
-    def validate(self, counts: IndexCounts, a_id: sp.spmatrix | None = None) -> list[str]:
+    def validate(self, counts: IndexCounts, a_id: sp.spmatrix) -> list[str]:
         problems = []
         full = self.resolved(counts)
         for name, grid in PRICE_SERIES.items():
@@ -162,8 +169,7 @@ class PriceData:
             problems.append("rho_up + rho_dn must not exceed 1 in any slot")
         if np.any(np.abs(full.mu) > 1 + 1e-12):
             problems.append("mu entries must lie in [-1, 1]")
-        if self.mu is not None and (self.rho_up is not None or self.rho_dn is not None) \
-                and a_id is not None:
+        if self.mu is not None and (self.rho_up is not None or self.rho_dn is not None):
             implied = np.asarray(a_id @ full.mu).ravel()
             if np.max(np.abs(implied - (full.rho_up - full.rho_dn))) > 1e-9:
                 problems.append("mu is inconsistent with rho_up - rho_dn on the intra-day grid")
@@ -175,7 +181,7 @@ class ObjectiveSpec:
     kind: str = MAX_CAPACITY
     prices: PriceData = field(default_factory=PriceData)
 
-    def validate(self, counts: IndexCounts, a_id=None) -> list[str]:
+    def validate(self, counts: IndexCounts, a_id: sp.spmatrix) -> list[str]:
         if self.kind not in (MAX_CAPACITY, EXPECTED_PROFIT):
             return [f"unknown objective kind {self.kind!r}"]
         if self.kind == EXPECTED_PROFIT:
@@ -503,8 +509,7 @@ def _emit_family(
         sum(lam) - row + abs_gamma*gamma + dg*x[dg_col] <= -lo
 
     the lower row written negated like every ``>=`` row.  A row exists
-    where hi < inf (lo > -inf); NaN, an infinite limit less an infinite
-    constant, drops it too.  ``blocks`` holds the rows' absolute-value
+    where hi < inf (lo > -inf).  ``blocks`` holds the rows' absolute-value
     blocks over the Q entries, flat column i * n_q + v as in ``TH`` (block
     i of row r is the coefficient of w_tilde_i); in sorted CSR order its
     entries come block by block, each block by policy column.  ``members``
@@ -735,11 +740,18 @@ def assemble(
         ("env_b", 0.5 * c_t * (e_prev + e_end), 2.0),
     ):
         scale = 0.5 * t_s_h * half_steps
+        blocks = ht_prev + slope @ TH
+        hi = params.x_hi - (f_prev * params.x0_max + gu_prev + scale * drift_up)
+        lo = params.x_lo - (f_prev * params.x0_min + gu_prev + scale * drift_lo)
+        if branch == "env_b" and params.a == 0.0:
+            # lossless: state row s implies env_b row s unless the block of
+            # w_tilde_s holds policy terms (see the module docstring)
+            own = blocks.tocoo()
+            live = np.isin(np.arange(n_s), own.row[own.col // layout.n_q == own.row])
+            hi, lo = np.where(live, hi, np.inf), np.where(live, lo, -np.inf)
         _emit_family(
-            acc, name=branch, blocks=ht_prev + slope @ TH, nominal=z_prev + slope @ theta_coef,
-            members=members_s, krow=krow_env,
-            hi=params.x_hi - (f_prev * params.x0_max + gu_prev + scale * drift_up),
-            lo=params.x_lo - (f_prev * params.x0_min + gu_prev + scale * drift_lo),
+            acc, name=branch, blocks=blocks, nominal=z_prev + slope @ theta_coef,
+            members=members_s, krow=krow_env, hi=hi, lo=lo,
             dg=np.full(n_s, scale * params.c), **common,
         )
 

@@ -54,15 +54,8 @@ _SCIPY_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 def solve_lp(data: LpData) -> BackendResult:
     started = time.perf_counter()
     bounds = np.column_stack([data.lo, data.hi])
-    has_rows = data.A.shape[0] > 0
     try:
-        res = linprog(
-            data.c,
-            A_ub=data.A if has_rows else None,
-            b_ub=data.rhs if has_rows else None,
-            bounds=bounds,
-            method="highs",
-        )
+        res = linprog(data.c, A_ub=data.A, b_ub=data.rhs, bounds=bounds, method="highs")
     except Exception as exc:  # malformed input, solver crash
         return BackendResult(status=FAILED, message=str(exc))
     elapsed = time.perf_counter() - started

@@ -49,11 +49,11 @@ class ActivationSignal:
     values: np.ndarray
     T_C: int
 
-    def validate(self, counts: IndexCounts | None = None) -> list[str]:
+    def validate(self, counts: IndexCounts) -> list[str]:
         problems = []
         if self.values.ndim != 1:
             problems.append("signal values must be one-dimensional")
-        elif counts is not None and self.values.shape != (counts.N_C + 1,):
+        elif self.values.shape != (counts.N_C + 1,):
             problems.append(
                 f"signal has {self.values.size} samples, expected N_C + 1 = {counts.N_C + 1}")
         if problems:
@@ -64,13 +64,15 @@ class ActivationSignal:
         return problems
 
 
-def gen_signal(kind: str, ts: Timescales, seed: int | None = None, **kw) -> ActivationSignal:
+def gen_signal(kind: str, ts: Timescales, seed: int | None = None, *,
+               level: float = 1.0, period: int | None = None) -> ActivationSignal:
     """Generate a test signal of one of the named kinds.
 
-    Keyword options: ``level`` (sustained), ``period`` (square_wave
+    Options: ``level`` (sustained), ``period`` (square_wave
     between +1 and -1, period in seconds; half the period must be a
     positive multiple of T_C; the default is the largest such period up
-    to T_ID, and at least 2·T_C), ``step`` (clipped_random_walk).
+    to T_ID, and at least 2·T_C).  A clipped random walk moves by at most
+    0.05 per control step.
     """
     counts = derive_counts(ts)
     n = counts.N_C + 1
@@ -78,9 +80,10 @@ def gen_signal(kind: str, ts: Timescales, seed: int | None = None, **kw) -> Acti
     if kind == "zero":
         values = np.zeros(n)
     elif kind == "sustained":
-        values = np.full(n, float(kw.get("level", 1.0)))
+        values = np.full(n, float(level))
     elif kind == "square_wave":
-        period = int(kw.get("period", 2 * ts.T_C * max(1, ts.T_ID // (2 * ts.T_C))))
+        if period is None:
+            period = 2 * ts.T_C * max(1, ts.T_ID // (2 * ts.T_C))
         if period <= 0 or period % (2 * ts.T_C) != 0:
             raise ValueError(f"square_wave period {period} s: half the period must be a "
                              f"positive multiple of T_C = {ts.T_C} s")
@@ -90,12 +93,10 @@ def gen_signal(kind: str, ts: Timescales, seed: int | None = None, **kw) -> Acti
         values = rng.uniform(-1.0, 1.0, size=n)
     elif kind == "clipped_random_walk":
         rng = np.random.default_rng(seed)
-        step = float(kw.get("step", 0.05))
-        values = np.clip(np.cumsum(rng.uniform(-step, step, size=n)), -1.0, 1.0)
+        values = np.clip(np.cumsum(rng.uniform(-0.05, 0.05, size=n)), -1.0, 1.0)
     else:
         raise ValueError(f"unknown signal kind {kind!r}; choose from {SIGNAL_KINDS}")
-    if n > 1:
-        values[0] = values[1]
+    values[0] = values[1]
     sig = ActivationSignal(values=np.clip(values, -1.0, 1.0), T_C=ts.T_C)
     problems = sig.validate(counts)
     if problems:

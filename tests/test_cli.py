@@ -13,26 +13,28 @@ Proves:
      another control grid and an irregular square-wave period exit with
      the usage code; the default period works on a coarse grid.
   5. Config mistakes (missing key, bad unit, unknown key, duplicates,
-     conflicting or non-finite initial state) exit with the usage code and
-     name the file and line.
+     conflicting or non-finite initial state, a NaN model coefficient,
+     baseload or limit) exit with the usage code and name the file and
+     line; the library refuses the same NaN values.
   6. Infeasible and unbounded problems map to their own exit codes, and so
      does a solver point that breaks its own rows (not certified).
-  7. suite solves every listed case in order, in parallel if asked, with
-     identical output either way; export writes an MPS file with as many
-     rows and columns as it reports.
+  7. suite solves every listed case in order; export writes an MPS file
+     with as many rows and columns as it reports.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 import flexbid
-from flexbid import solvers
+from flexbid import assemble, solvers
 from flexbid.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_UNBOUNDED, EXIT_UNCERTIFIED,
                          EXIT_USAGE, EXIT_VERIFY, load_problem, main, parse_duration,
                          parse_number, parse_vector)
@@ -335,6 +337,34 @@ def test_non_finite_initial_state_is_rejected(tmp_path, capsys, x0):
     assert "x0_min/x0_max must be finite" in err
 
 
+NAN_KEYS = {"a": "a", "b": "b", "c": "c", "u": "u", "p_min": "p_lo", "p_max": "p_hi",
+            "r_min": "r_lo", "r_max": "r_hi", "x_min": "x_lo", "x_max": "x_hi"}
+
+
+@pytest.mark.parametrize("key", NAN_KEYS)
+def test_nan_system_value_is_rejected(tmp_path, capsys, key):
+    def mangle(text):
+        text = re.sub(rf"^{key} =.*\n", "", text, flags=re.M)
+        return text.replace("x0 = 7.5 kWh", f"x0 = 7.5 kWh\n{key} = nan")
+
+    assert main(["solve", write_cfg(tmp_path, mangle)]) == EXIT_USAGE
+    assert "invalid system section" in capsys.readouterr().err
+
+    # the same value handed to the library: one NaN entry of a vector is enough
+    problem = load_problem(TWO_HOUR)
+    field = NAN_KEYS[key]
+    value = getattr(problem.params, field)
+    if np.ndim(value):
+        value = value.copy()
+        value[1] = np.nan
+    else:
+        value = np.nan
+    params = dataclasses.replace(problem.params, **{field: value})
+    assert params.validate(problem.counts.N_S)
+    with pytest.raises(ValueError, match="cannot assemble program"):
+        assemble(params, problem.ts, problem.structure)
+
+
 def test_missing_config_file(capsys):
     code = main(["solve", "/no/such/file.cfg"])
     assert code == EXIT_USAGE
@@ -402,15 +432,6 @@ def test_suite_runs_in_order(tmp_path, capsys):
     for line in lines:
         assert "status optimal" in line
         assert "gamma_kw 3.750000" in line
-
-
-def test_parallel_suite_matches_serial(tmp_path, capsys):
-    suite = make_suite(tmp_path)
-    main(["suite", suite, "--no-refine-ramp"])
-    serial = capsys.readouterr().out
-    main(["suite", suite, "--no-refine-ramp", "--jobs", "2"])
-    parallel = capsys.readouterr().out
-    assert parallel == serial
 
 
 def test_suite_uncertified_point_exit_code(tmp_path, capsys, perturbed_backend):

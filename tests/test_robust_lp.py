@@ -37,11 +37,17 @@ Proves:
  13. Each Q entry's columns of the Theta symbol are the Theta of the unit
      policy on that entry, over two days with day-ahead and intra-day
      adjustment, ramped and held.
+ 14. Lossless programs keep an env_b row only where its block of the
+     interval's own activation holds a policy term: no shipped or
+     benchmark config has one, a lead-0 program keeps exactly those rows,
+     first-stage optima match the values recorded with every env_b row in
+     place to 1e-12, and a lossy program is unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import logging
 import os
 import pathlib
@@ -76,6 +82,7 @@ MIN = 60
 HOUR = 3600
 DAY = 86400
 CONFIG_DIR = pathlib.Path(flexbid.__file__).parent / "configs"
+BENCH_CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "configs"
 
 
 def battery(n_s, **kw) -> SystemParams:
@@ -624,3 +631,82 @@ def test_state_row_gamma_coefficient_is_the_carry_over_sum(a):
             carry.append(carry[-1] * f + 1)
         want = np.array([float(c_t * carry[s]) for s in prog.row_meta1[rows]])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# env_b rows of lossless programs
+
+
+ENV_B = [robust_lp._KIND_CODE["env_b.hi"], robust_lp._KIND_CODE["env_b.lo"]]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.cfg")) + sorted(BENCH_CONFIG_DIR.glob("*.cfg")),
+    ids=lambda p: p.stem)
+def test_shipped_lossless_programs_have_no_env_b_rows(path):
+    prob = load_problem(str(path))
+    assert prob.params.a == 0.0
+    prog = assemble(prob.params, prob.ts, prob.structure, prob.objective)
+    assert not np.isin(prog.row_kind, ENV_B).any()
+
+
+def test_env_b_rows_stay_where_their_own_block_holds_policy_terms():
+    ts, counts, params, structure = make(4, lead=0, id_lb=1)
+    prog = assemble(params, ts, structure)
+    n_s, n_q = counts.N_S, prog.layout.n_q
+    H = build_state_matrices(0.0, params.b, params.c, prog.dd.t_step, n_s, hold=False).H
+    h_prev = sp.vstack([sp.csr_matrix((1, n_s + 1)), H[:-1]])
+    slope = 0.5 * params.c * prog.dd.t_step * (sp.eye(n_s, n_s + 1) + sp.eye(n_s, n_s + 1, k=1))
+    blocks = ((h_prev + slope) @ prog.matrices["TH"]).toarray()
+    own = [s for s in range(1, n_s + 1) if np.any(blocks[s - 1, (s - 1) * n_q:s * n_q])]
+    assert 0 < len(own) < n_s
+    for code in ENV_B:
+        assert sorted(prog.row_meta1[prog.row_kind == code]) == own
+
+
+def lead0_program(name):
+    prob = load_problem(str(CONFIG_DIR / name))
+    ts = dataclasses.replace(prob.ts, T_ID_lead=0)
+    structure = PolicyStructure.build(derive_counts(ts), ts, 0, 1)
+    return assemble(prob.params, ts, structure, prob.objective)
+
+
+# first-stage optima of programs that kept all 2*N_S env_b rows
+@pytest.mark.parametrize("build, gamma", [
+    pytest.param(lambda: config_program("powerwall_1day.cfg"), 0.3125, id="1day"),
+    pytest.param(lambda: config_program("powerwall_1day.cfg", T_RP=0), 0.31249999999999994,
+                 id="1day_held"),
+    pytest.param(lambda: config_program("powerwall_2day.cfg"), 0.15625, id="2day"),
+    pytest.param(lambda: config_program("powerwall_1day_lead1h.cfg"), 2.593582887700535,
+                 id="lead1h"),
+    pytest.param(lambda: config_program("powerwall_1day_lead30min.cfg"), 2.619047619047619,
+                 id="lead30min"),
+    pytest.param(lambda: config_program("powerwall_1day_lead15min.cfg"), 2.631578947368421,
+                 id="lead15min"),
+    pytest.param(lambda: lead0_program("powerwall_1day_lead1h.cfg"), 2.643979057591623,
+                 id="lead0"),
+])
+def test_lossless_optimum_is_the_one_with_every_env_b_row(build, gamma):
+    sol = solve(build())
+    assert sol.status == "optimal" and sol.stats["certified"]
+    assert sol.gamma == pytest.approx(gamma, rel=1e-12, abs=0)
+    assert sol.objective == pytest.approx(gamma, rel=1e-12, abs=0)
+
+
+def test_lossy_program_is_unchanged():
+    # digest of the structure, row tags and bounds, and a weighted sum and
+    # 1-norm of the coefficients and rhs, recorded from the program that
+    # emitted every env_b row
+    prog = made_program(4, lead=0, id_lb=1, a=-0.02)
+    A = prog.A.copy()
+    A.sort_indices()
+    digest = hashlib.sha256()
+    for arr in (A.indptr.astype(np.int64), A.indices.astype(np.int64), prog.row_kind,
+                prog.row_meta1, prog.row_meta2, prog.var_lo, prog.var_hi):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert (prog.n_rows, A.nnz) == (3506, 17610)
+    assert digest.hexdigest() == "9ae395e609e3e11b64cb9c4de9747e96fdb570edc8a831e807406f0baa37a980"
+    for x, weighted, norm in ((A.data, -20.91036897470514, 12342.87778341643),
+                              (prog.rhs, -12.644943618029687, 2648.2)):
+        assert np.abs(x).sum() == pytest.approx(norm, rel=1e-12)
+        assert abs(np.cos(np.arange(x.size)) @ x - weighted) <= 1e-12 * norm
