@@ -20,14 +20,20 @@ to well below 1e-12 relative.
 The uncertain integral v_s is bounded by freezing exp(a*tau) at the
 midpoint value e_a_tau_hat = (1 + f)/2 with residual radius
 eps = (1 - f)/2, which is tight at tau in {0, T}.
+
+:func:`propagate` is the one step-map primitive: every state that
+assembly and verification compute from a drive, x_k = f*x_{k-1} + drive_k,
+goes through it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtbtrs
 
 from .market_time import SECONDS_PER_HOUR, Timescales
 
@@ -81,6 +87,34 @@ def epsilon_bound(a: float, t_step: float) -> tuple[float, float]:
     eps = -np.expm1(x) / 2.0
     e_hat = 1.0 + np.expm1(x) / 2.0
     return float(eps), float(e_hat)
+
+
+# room for assembly's two horizon lengths (N_S, N_S + 1) and a fine grid
+@functools.lru_cache(maxsize=4)
+def _step_band(f: float, n: int) -> np.ndarray:
+    """Upper band storage of the n x n bidiagonal with 1 on the diagonal and
+    -f above it (the first entry of the superdiagonal row is unused)."""
+    band = np.ones((2, n), order="F")
+    band[0, 0] = 0.0
+    band[0, 1:] = -f
+    band.flags.writeable = False
+    return band
+
+
+def propagate(f: float, drive: np.ndarray) -> np.ndarray:
+    """States x_k = f*x_{k-1} + drive_k from x_{-1} = 0, down axis 0.
+
+    One unit-diagonal band solve U^T x = drive, U upper bidiagonal with -f
+    above the diagonal.  Its inner step is the length-1 update
+    x_k - (-f)*x_{k-1}, which rounds exactly as the direct recursion does
+    (no fused multiply-add), so the states are the same to the last bit.
+    """
+    if drive.size == 0:
+        # LAPACK is never handed an empty right-hand side
+        return np.zeros(drive.shape)
+    x, _ = dtbtrs(_step_band(f, len(drive)), drive.reshape(len(drive), -1),
+                  uplo="U", trans="T", diag="U")
+    return x.reshape(drive.shape)
 
 
 @dataclass(frozen=True)

@@ -91,10 +91,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.signal import lfilter
 
 from . import solvers
-from .dynamics import DiscreteDynamics, SystemParams, discretize_scales
+from .dynamics import DiscreteDynamics, SystemParams, discretize_scales, propagate
 from .market_time import SECONDS_PER_HOUR, IndexCounts, Timescales, derive_counts
 from .policy import AffinePolicy, PolicyStructure, build_averaging, mask_entries, reference_affine_map
 from .reference_map import build_M, build_R
@@ -161,6 +160,9 @@ class PriceData:
             n = getattr(counts, grid)
             if getattr(full, name).shape != (n,):
                 problems.append(f"{name} must have length {n}")
+        for name in ("c_RES", *PRICE_SERIES):
+            if not np.all(np.isfinite(getattr(full, name))):
+                problems.append(f"{name} must be finite")
         if problems:
             return problems
         if np.any(full.rho_up < 0) or np.any(full.rho_dn < 0):
@@ -474,11 +476,6 @@ def _epigraph_columns(
     return col[inverse], np.asarray(fresh, dtype=np.int64)
 
 
-def _propagate(f: float, drive: np.ndarray) -> np.ndarray:
-    """States of the step map x_s = f*x_{s-1} + drive_s from x_0 = 0, down axis 0."""
-    return lfilter([1.0], [1.0, -f], drive, axis=0)
-
-
 def _emit_family(
     acc: _Accumulator,
     *,
@@ -578,7 +575,7 @@ def _emit_family(
     # from 0 driven by ones), split into policy-active blocks (kept as
     # lambdas plus eps slack) and policy-free ones (folded: the absolute
     # term plus slack is exactly c*T*k per unit gamma)
-    total_k = _propagate(f, np.append(0.0, np.ones(krow.max(initial=0))))[krow]
+    total_k = propagate(f, np.append(0.0, np.ones(krow.max(initial=0))))[krow]
     act_k = np.bincount(block_r, weights=kval, minlength=len(krow))
     free_k = total_k - act_k
     abs_gamma = c_t * (free_k + eps * act_k)
@@ -671,7 +668,7 @@ def assemble(
     dd = discretize_scales(params, ts, n_s)
     t_s_h = ts.T_S / SECONDS_PER_HOUR
     c_t = params.c * t_s_h
-    gu = _propagate(dd.f, dd.g * params.u)
+    gu = propagate(dd.f, dd.g * params.u)
     f_prev = np.concatenate([[1.0], dd.F[:-1]])
     gu_prev = np.concatenate([[0.0], gu[:-1]])
 
@@ -713,7 +710,7 @@ def assemble(
     # step map run down TH's nonzero columns (the others stay zero)
     drive = (step @ TH).tocsc()
     th_cols = np.flatnonzero(np.diff(drive.indptr))
-    HT = _propagate(dd.f, drive[:, th_cols].toarray())
+    HT = propagate(dd.f, drive[:, th_cols].toarray())
     row, col = np.nonzero(HT)
     HT = sp.csr_matrix((HT[row, col], (row, th_cols[col])), shape=drive.shape)
     _emit_family(
@@ -898,7 +895,7 @@ def solve(prog: RobustProgram, *, refine_ramp: bool = False) -> Solution:
     x = x.copy()
     z = prog.state_columns
     m = prog.matrices
-    x[z] = _propagate(prog.dd.f, m["step"] @ (m["theta_coef"] @ x[:z.stop]))
+    x[z] = propagate(prog.dd.f, m["step"] @ (m["theta_coef"] @ x[:z.stop]))
     violation = prog.max_violation(x)
     stats["max_violation"] = violation
     stats["certified"] = violation <= FEASIBILITY_TOL

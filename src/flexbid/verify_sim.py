@@ -26,11 +26,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 import scipy.sparse as sp
 
 from . import solvers
-from .dynamics import SystemParams, discretize
+from .dynamics import SystemParams, discretize, propagate
 from .market_time import SECONDS_PER_HOUR, IndexCounts, Timescales, derive_counts
 from .policy import AffinePolicy, PolicyStructure, mask_entries, realized_schedules
 from .reference_map import ReferenceProfile, reference_from_baseline
@@ -194,7 +193,7 @@ def simulate_state(
         raise ValueError(f"power grid has {p_grid.size} samples, expected {n_c + 1}")
     f, g, h1, h2 = discretize(params.a, params.b, params.c, ts.T_C / SECONDS_PER_HOUR)
     # drive of step k: (g*u + h1*p_{k-1}) + h2*p_k, after a leading 0 so that
-    # lfilter returns the zero-state response at every instant itself
+    # the step map's zero-state response is the state at every instant itself
     drive = np.empty(n_c + 1)
     drive[0] = 0.0
     step = drive[1:]
@@ -202,7 +201,7 @@ def simulate_state(
     per_interval = step.reshape(grid.counts.N_S, grid.m)    # a view of step
     per_interval += np.multiply(params.u, g, dtype=float)[:, None]
     step += np.multiply(p_grid[1:], h2)
-    x = scipy.signal.lfilter([1.0], [1.0, -f], drive)
+    x = propagate(f, drive)
     # then the response to x0, formed in the drive's buffer
     x += np.multiply(_decay_powers(f, n_c), x0, out=drive)
     return x
@@ -338,7 +337,7 @@ def check_feasibility(
         drive[0] = 0.0
         np.subtract(p_ref_fine[:-1], p_ref_fine[1:], out=drive[1:])
         drive *= h2
-        x_corr = scipy.signal.lfilter([1.0], [1.0, -f], drive)
+        x_corr = propagate(f, drive)
         del drive
     margins["state"] = np.inf
     for x0 in sorted({params.x0_min, params.x0_max}):

@@ -14,21 +14,27 @@ Proves:
      the usage code; the default period works on a coarse grid.
   5. Config mistakes (missing key, bad unit, unknown key, duplicates,
      conflicting or non-finite initial state, a NaN model coefficient,
-     baseload or limit) exit with the usage code and name the file and
-     line; the library refuses the same NaN values.
+     baseload or limit, a non-finite price or activation statistic) exit
+     with the usage code and name the file and line; the library refuses
+     the same values.
   6. Infeasible and unbounded problems map to their own exit codes, and so
      does a solver point that breaks its own rows (not certified).
   7. suite solves every listed case in order; export writes an MPS file
      with as many rows and columns as it reports.
+  8. Importing the package and its CLI loads none of scipy.signal,
+     scipy.stats, scipy.interpolate and scipy.ndimage.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -365,6 +371,21 @@ def test_nan_system_value_is_rejected(tmp_path, capsys, key):
         assemble(params, problem.ts, problem.structure)
 
 
+@pytest.mark.parametrize("series,value", [("mu", "nan"), ("c_RES", "nan"),
+                                          ("c_DA", "nan"), ("c_up", "inf")])
+def test_non_finite_price_is_rejected(tmp_path, capsys, series, value):
+    (tmp_path / "prices.csv").write_text(f"series,index,value\n{series},1,{value}\n")
+    path = write_cfg(tmp_path, lambda t: t.replace(
+        "kind = max_capacity", "kind = expected_profit\nprices = prices.csv"))
+    assert main(["solve", path]) == EXIT_USAGE
+    assert f"{series} must be finite" in capsys.readouterr().err
+
+    # the same prices handed to the library
+    problem = load_problem(path)
+    with pytest.raises(ValueError, match=f"{series} must be finite"):
+        assemble(problem.params, problem.ts, problem.structure, problem.objective)
+
+
 def test_missing_config_file(capsys):
     code = main(["solve", "/no/such/file.cfg"])
     assert code == EXIT_USAGE
@@ -483,3 +504,19 @@ def test_export_round_trips_dimensions(tmp_path, capsys):
     columns = text.split("\nCOLUMNS\n")[1].split("\nRHS\n")[0].splitlines()
     assert sum(line.split()[0] == "L" for line in rows) == n_rows
     assert len({line.split()[0] for line in columns}) == n_cols
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.ndimage"]
+    code = ("import sys, flexbid, flexbid.cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    src = str(pathlib.Path(flexbid.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -15,6 +15,9 @@ Proves:
      term.
   6. SystemParams.constant broadcasting and validate() error reporting;
      a non-finite initial state is refused, also by assemble().
+  7. propagate, the step map's band solve, equals scipy.signal.lfilter of
+     the same recursion bit for bit, down axis 0 of 1-D and 2-D drives,
+     and hands LAPACK no empty right-hand side.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import scipy.integrate
 import scipy.sparse as sp
 
 from flexbid import SystemParams, build_state_matrices, discretize, epsilon_bound
-from flexbid.dynamics import discretize_scales
+from flexbid import dynamics
+from flexbid.dynamics import discretize_scales, propagate
 from flexbid import PolicyStructure, Timescales, assemble, derive_counts
 
 mpmath.mp.dps = 50
@@ -323,3 +327,31 @@ def test_non_finite_initial_state_is_refused(x0):
     assert any("x0_min/x0_max must be finite" in p for p in params.validate(counts.N_S))
     with pytest.raises(ValueError, match="x0_min/x0_max must be finite"):
         assemble(params, ts, PolicyStructure.build(counts, ts, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the step-map primitive
+
+STEP_FACTORS = [1.0, np.exp(-0.02 / 3600), np.exp(-0.05 * 5 / 60), 0.5]
+
+
+@pytest.mark.parametrize("f", STEP_FACTORS)
+@pytest.mark.parametrize("shape", [(1,), (2,), (289,), (86401,), (604801,), (97, 40), (2017, 300)])
+def test_propagate_equals_lfilter_bit_for_bit(f, shape):
+    # scipy.signal is the oracle only here; the package never imports it
+    from scipy.signal import lfilter
+
+    drive = np.random.default_rng(0).standard_normal(shape)
+    got = propagate(f, drive)
+    want = lfilter([1.0], [1.0, -f], drive, axis=0)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_propagate_of_an_empty_drive_skips_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on an empty right-hand side")
+
+    monkeypatch.setattr(dynamics, "dtbtrs", refuse)
+    out = propagate(0.5, np.zeros((5, 0)))
+    assert out.shape == (5, 0)
