@@ -11,11 +11,18 @@ linearized as
 
     lambda_i >= +A_i,   lambda_i >= -A_i,   sum_i lambda_i <= slack.
 
-Blocks A_i that are equal bit for bit (policy columns, coefficients and
-gamma coefficient), within a family or across families, share one lambda:
-a shared lambda >= |A_i| is the same constraint as one per copy, so the
-projection onto the policy columns is unchanged (a row that sums the same
-lambda twice gets coefficient 2).  The ramp refinement's slope family
+Block i of a row with k activation carry-over terms is stored per unit of
+its decay weight w = f^(k-1-i), and its lambda enters the row with weight
+w: for w > 0, w*|A_i/w| = |A_i|, so the row is unchanged in real
+arithmetic.  The step map scales a block by f per interval, which the
+weight absorbs, so a block that no new drive touches is its predecessor
+bit for bit.  Blocks that are equal bit for bit (policy columns,
+coefficients and gamma coefficient), within a family or across families,
+share one lambda: a shared lambda >= |A_i| is the same constraint as one
+per copy, so the projection onto the policy columns is unchanged (a row
+whose blocks share a lambda sums their weights).  So the f-scaled
+copies of a block in lossy storage share one lambda, and lossless storage
+(f = 1) has every weight exactly 1.  The ramp refinement's slope family
 looks up the first stage's lambdas as well, since its program holds the
 first stage's rows.
 
@@ -37,8 +44,9 @@ program's, with no rounding or tolerance involved.  The state and
 envelope rows read z_s or z_{s-1} plus O(1) breakpoint terms instead of a
 dense row of H @ theta_coef.  H itself is never built: the same step map,
 run down the Q-entry columns of Theta, gives the absolute-value blocks
-H @ Theta (empty without Q entries), and run on a solved policy's
-reference it gives that point's states.
+H @ Theta (empty without Q entries; per unit of their decay weights it is
+a running sum), and run on a solved policy's reference it gives that
+point's states.
 
 Every row, including these epigraph rows and the lower row of each
 family, is stored as ``A x <= rhs``: ``>=`` rows are written negated.
@@ -502,13 +510,14 @@ def _emit_family(
     term and a margin ``dg[r]`` per unit of column ``dg_col`` (gamma unless
     given) taken off both sides:
 
-        sum(lam) + row + abs_gamma*gamma + dg*x[dg_col] <= hi
-        sum(lam) - row + abs_gamma*gamma + dg*x[dg_col] <= -lo
+        sum(w*lam) + row + abs_gamma*gamma + dg*x[dg_col] <= hi
+        sum(w*lam) - row + abs_gamma*gamma + dg*x[dg_col] <= -lo
 
     the lower row written negated like every ``>=`` row.  A row exists
     where hi < inf (lo > -inf).  ``blocks`` holds the rows' absolute-value
     blocks over the Q entries, flat column i * n_q + v as in ``TH`` (block
-    i of row r is the coefficient of w_tilde_i); in sorted CSR order its
+    i of row r is the coefficient of w_tilde_i), each per unit of its
+    decay weight w = f^(krow[r] - 1 - i); in sorted CSR order its
     entries come block by block, each block by policy column.  ``members``
     carries the 1-based member index per row (tagging only), ``krow[r]``
     the number of activation carry-over terms entering row r, ``c_t`` the
@@ -534,12 +543,13 @@ def _emit_family(
     block_r = ent_r[block_first]
     block_i = ent_i[block_first]
 
-    # activation carry-over coefficient of each block (0 when i >= krow)
-    sk = krow[block_r]
-    has_k = block_i < sk
-    powers = np.where(has_k, sk - 1 - block_i, 0)
-    kval = np.where(has_k, f ** powers.astype(float), 0.0)
-    gcoef = c_t * e_hat * kval
+    # block (r, i) is stored per unit of its decay weight f^(krow[r]-1-i),
+    # with which its lambda enters row r; the activation carry-over
+    # coefficient is that weight where i < krow (else 0)
+    weight = f ** (krow[block_r] - 1 - block_i).astype(float)
+    has_k = block_i < krow[block_r]
+    kval = np.where(has_k, weight, 0.0)
+    gcoef = np.where(has_k, c_t * e_hat, 0.0)
 
     block_col, fresh = _epigraph_columns(acc, block_first, ent_block, ent_v, ent_val, gcoef)
     # epigraph pair per new column: -lam +- (C + gcoef*gamma) <= 0
@@ -592,7 +602,7 @@ def _emit_family(
                             row_of[idx], row_of[idx]]),
             np.concatenate([block_col[bkeep], nominal.col[nkeep],
                             np.full(idx.size, gamma_col), np.full(idx.size, dg_col)]),
-            np.concatenate([np.ones(bkeep.sum()), sgn * nominal.data[nkeep],
+            np.concatenate([weight[bkeep], sgn * nominal.data[nkeep],
                             abs_gamma[idx], dg[idx]]),
             sgn * bound[idx],
             np.full(idx.size, _KIND_CODE[f"{name}.{kind}"], dtype=np.int16),
@@ -650,9 +660,11 @@ def assemble(
     z_first = acc.add_vars(n_s, lo=-np.inf)
     n_cols = z_first + n_s
 
-    # Q-entry symbol, reference map of the q vectors and the breakpoint
-    # step operator; the ramp refinement reuses all three
-    TH = mats["TH"] = _theta_symbol(layout, mats, n_s)
+    # Q-entry symbol, column block i stored per unit of f^-(i+1) (see
+    # _emit_family), reference map of the q vectors and the breakpoint step
+    # operator; the ramp refinement reuses all three
+    dd = discretize_scales(params, ts, n_s)
+    TH = mats["TH"] = _theta_symbol(layout, mats, n_s) @ sp.diags(np.repeat(dd.F, layout.n_q))
     theta_coef = mats["theta_coef"] = sp.hstack([
         sp.csr_matrix((n_s + 1, layout.n_q)),
         mats["RM"], mats["R"],
@@ -665,7 +677,6 @@ def assemble(
         shape=(n_s, n_s + 1),
     )
 
-    dd = discretize_scales(params, ts, n_s)
     t_s_h = ts.T_S / SECONDS_PER_HOUR
     c_t = params.c * t_s_h
     gu = propagate(dd.f, dd.g * params.u)
@@ -707,10 +718,11 @@ def assemble(
 
     # grid states within the tighter adjacent interval bounds, less the
     # adverse initial-state endpoint and the baseload; their blocks are the
-    # step map run down TH's nonzero columns (the others stay zero)
+    # step map run down TH's nonzero columns (the others stay zero), which
+    # per unit of the blocks' decay weights is a running sum
     drive = (step @ TH).tocsc()
     th_cols = np.flatnonzero(np.diff(drive.indptr))
-    HT = propagate(dd.f, drive[:, th_cols].toarray())
+    HT = propagate(1.0, drive[:, th_cols].toarray() / dd.F[:, None])
     row, col = np.nonzero(HT)
     HT = sp.csr_matrix((HT[row, col], (row, th_cols[col])), shape=drive.shape)
     _emit_family(
@@ -737,7 +749,7 @@ def assemble(
         ("env_b", 0.5 * c_t * (e_prev + e_end), 2.0),
     ):
         scale = 0.5 * t_s_h * half_steps
-        blocks = ht_prev + slope @ TH
+        blocks = ht_prev + sp.diags(1.0 / f_prev) @ slope @ TH
         hi = params.x_hi - (f_prev * params.x0_max + gu_prev + scale * drift_up)
         lo = params.x_lo - (f_prev * params.x0_min + gu_prev + scale * drift_lo)
         if branch == "env_b" and params.a == 0.0:
@@ -820,7 +832,7 @@ def _slope_program(prog: RobustProgram, objective_floor: float) -> tuple[RobustP
         members=np.arange(1, n_s + 1), krow=np.zeros(n_s, dtype=np.int64),
         hi=np.zeros(n_s), lo=np.zeros(n_s), dg=np.full(n_s, -1.0), dg_col=t_col,
         nominal=m["diff"] @ m["theta_coef"], layout=prog.layout,
-        f=1.0, eps=0.0, e_hat=0.0, c_t=0.0,
+        f=prog.dd.f, eps=0.0, e_hat=0.0, c_t=0.0,
     )
     obj_nz = np.flatnonzero(prog.obj)
     acc.add_rows(np.zeros(obj_nz.size), obj_nz, -prog.obj[obj_nz], [-objective_floor],

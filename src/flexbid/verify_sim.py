@@ -57,9 +57,11 @@ class ActivationSignal:
                 f"signal has {self.values.size} samples, expected N_C + 1 = {counts.N_C + 1}")
         if problems:
             return problems
+        # written so that a NaN sample fails it
         band = 1.0 + 1e-9
-        if np.max(self.values, initial=0.0) > band or np.min(self.values, initial=0.0) < -band:
-            problems.append("signal exceeds the normalized band [-1, 1]")
+        if not (-band <= np.min(self.values, initial=0.0)
+                and np.max(self.values, initial=0.0) <= band):
+            problems.append("signal exceeds the normalized band [-1, 1] or is NaN")
         return problems
 
 
@@ -277,8 +279,14 @@ def check_feasibility(
     if sig.T_C != ts.T_C:
         problems.append(f"signal is sampled every T_C = {sig.T_C} s, "
                         f"but the config's control grid is T_C = {ts.T_C} s")
-    if policy.gamma < 0:
+    if not np.isfinite(policy.gamma):
+        problems.append(f"gamma must be finite, got {policy.gamma}")
+    elif policy.gamma < 0:
         problems.append(f"gamma must be >= 0, got {policy.gamma}")
+    for name in ("Q_DA", "Q_ID", "q_DA", "q_ID"):
+        values = getattr(policy, name)
+        if not np.all(np.isfinite(values.data if sp.issparse(values) else values)):
+            problems.append(f"{name} must be finite")
     if policy.Q_DA.shape != (counts.N_DA, counts.N_DA):
         problems.append(f"Q_DA shape {policy.Q_DA.shape} does not match N_DA {counts.N_DA}")
     if policy.Q_ID.shape != (counts.N_ID, counts.N_ID):
@@ -316,7 +324,14 @@ def check_feasibility(
         w = windows(values, width)
         return w.max(axis=1), w.min(axis=1)
 
+    # a held reference keeps interval j's level up to its end instant, so
+    # the power there tends to gamma*w + p_ref[j] from the left; a ramped
+    # one is continuous, and these are the window's own end values
+    ref_end = profile.p_ref[:-1] if profile.piecewise_constant else profile.p_ref[1:]
+    p_end = np.multiply(policy.gamma, sig.values[m::m], dtype=float)
+    p_end += ref_end
     p_max, p_min = extremes(p_target, m + 1)
+    p_max, p_min = np.maximum(p_max, p_end), np.minimum(p_min, p_end)
     margins = {"power": float(min(np.min(params.p_hi - p_max), np.min(p_min - params.p_lo)))}
 
     # ramp per control step, measured in kW per step; an infinite limit

@@ -11,7 +11,9 @@ Proves:
      policy whose adjustment structure disagrees with the config is
      flagged as an information-structure violation.  A signal file on
      another control grid and an irregular square-wave period exit with
-     the usage code; the default period works on a coarse grid.
+     the usage code; the default period works on a coarse grid.  A NaN
+     signal sample, a non-finite gamma in the policy file and a NaN
+     --gamma-scale exit with the usage code too.
   5. Config mistakes (missing key, bad unit, unknown key, duplicates,
      conflicting or non-finite initial state, a NaN model coefficient,
      baseload or limit, a non-finite price or activation statistic) exit
@@ -247,6 +249,36 @@ def test_verify_rejects_foreign_grid_and_bad_period(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "positive multiple of T_C = 1 s" in err
+
+
+@pytest.mark.parametrize("case", ["nan_sample", "nan_gamma", "inf_gamma", "nan_gamma_scale"])
+def test_verify_refuses_non_finite_inputs(tmp_path, capsys, case):
+    from flexbid import gen_signal, save_signal
+
+    policy_file = tmp_path / "battery.policy"
+    main(["solve", TWO_HOUR, "--no-refine-ramp", "--save-policy", str(policy_file)])
+    capsys.readouterr()
+    args = ["verify", TWO_HOUR, "--policy", str(policy_file)]
+    if case == "nan_sample":
+        sig = gen_signal("zero", load_problem(TWO_HOUR).ts)
+        sig.values[100] = np.nan
+        save_signal(sig, str(tmp_path / "nan.sig"))
+        args += ["--signal", str(tmp_path / "nan.sig")]
+        message = "normalized band"
+    else:
+        args += ["--kind", "sustained", "--level", "-1"]
+        message = "gamma must be finite"
+        if case == "nan_gamma_scale":
+            args += ["--gamma-scale", "nan"]
+        else:
+            text = re.sub(r"^gamma = .*$", f"gamma = {case[:3]}", policy_file.read_text(),
+                          flags=re.M)
+            policy_file.write_text(text)
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_verify_default_period_on_coarse_grid(tmp_path, capsys):

@@ -18,9 +18,12 @@ Proves:
   6. The delivered-energy closure holds with and without a ramp window,
      and a held (step) reference on a coarse grid certifies across its
      plateau jumps, where an interpolating state quadrature would not.
+     A held reference's power check reads each interval's left limit at
+     its end instant, where the plateau still holds.
   7. Signals survive a save/load round trip and malformed inputs are
      refused with specific messages, including a signal sampled on another
-     control grid and policy offsets q_DA, q_ID of the wrong length.
+     control grid, policy offsets q_DA, q_ID of the wrong length, and a
+     NaN sample or a non-finite gamma, offset or Q entry.
   8. Infinite state limits on one side leave the other side checked.
   9. A state violation is reported at the instant and state that the
      brute-force rule gives (first instant of smallest slack against the
@@ -44,6 +47,7 @@ Proves:
 from __future__ import annotations
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -68,7 +72,9 @@ from flexbid import (
     vertex_oracle,
     zero_policy,
 )
+import flexbid
 from flexbid import verify_sim
+from flexbid.cli import load_problem
 from flexbid.reference_map import ReferenceProfile
 from flexbid.verify_sim import SIGNAL_KINDS, _fine_reference
 
@@ -456,6 +462,25 @@ def test_held_reference_certified_on_coarse_grid():
         assert report.feasible, report.format()
 
 
+def test_held_power_check_reads_each_interval_left_limit():
+    # held, slot 1's 4.5 kW plateau lasts up to t = 900 s, where the
+    # reference steps to 0; a +1 spike at that instant drives the power
+    # towards 5.5 kW > p_hi = 5 kW from the left, as the same spike one
+    # instant earlier reaches it outright
+    prob = load_problem(str(pathlib.Path(flexbid.__file__).parent / "configs" / "powerwall_2h.cfg"))
+    ts = dataclasses.replace(prob.ts, T_RP=0)
+    counts = derive_counts(ts)
+    pol = zero_policy(counts, gamma=1.0)
+    pol.q_ID[0] = 1.125
+    for instant in (900, 899):
+        values = np.zeros(counts.N_C + 1)
+        values[instant // ts.T_C] = 1.0
+        report = check_feasibility(pol, ActivationSignal(values=values, T_C=ts.T_C),
+                                   prob.params, ts)
+        assert not report.feasible, instant
+        assert report.margins["power"] == pytest.approx(-0.5, abs=1e-12)
+
+
 def test_verification_refuses_malformed_inputs(solved_2h):
     ts, counts, params, sol = solved_2h
     short = ActivationSignal(values=np.zeros(4), T_C=ts.T_C)
@@ -468,6 +493,19 @@ def test_verification_refuses_malformed_inputs(solved_2h):
                                    Q_DA=sol.policy.Q_DA[:, :-1])
     with pytest.raises(ValueError, match="Q_DA shape"):
         check_feasibility(squeezed, gen_signal("zero", ts), params, ts)
+    nan_sample = gen_signal("zero", ts)
+    nan_sample.values[5] = np.nan
+    with pytest.raises(ValueError, match="normalized band"):
+        check_feasibility(sol.policy, nan_sample, params, ts)
+    for name, bad in (("gamma", np.nan), ("gamma", np.inf), ("q_DA", np.nan), ("q_ID", -np.inf)):
+        value = bad if name == "gamma" else np.full_like(getattr(sol.policy, name), bad)
+        policy = dataclasses.replace(sol.policy, **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            check_feasibility(policy, gen_signal("zero", ts), params, ts)
+    q_nan = dataclasses.replace(sol.policy, Q_ID=sol.policy.Q_ID.copy())
+    q_nan.Q_ID[0, 0] = np.nan
+    with pytest.raises(ValueError, match="Q_ID must be finite"):
+        check_feasibility(q_nan, gen_signal("zero", ts), params, ts)
 
 
 @pytest.mark.parametrize("name", ["q_DA", "q_ID"])
