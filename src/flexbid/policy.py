@@ -135,8 +135,9 @@ class AffinePolicy:
 
     def validate_against(self, structure: PolicyStructure) -> list[str]:
         problems = []
-        if self.gamma < 0:
-            problems.append(f"gamma must be >= 0, got {self.gamma}")
+        # written so that a NaN gamma fails it
+        if not self.gamma >= 0:
+            problems.append(f"gamma must be >= 0 and not NaN, got {self.gamma}")
         for name, Q, mask in (
             ("Q_DA", self.Q_DA, structure.mask_DA),
             ("Q_ID", self.Q_ID, structure.mask_ID),

@@ -11,18 +11,24 @@ Signals are piecewise linear on the control grid (length N_C + 1 values,
 all within [-1, 1]).  Generators pin the first value to the second so a
 sustained signal averages to exactly +/-1 on every metering interval.
 
-A check does only per-signal work.  What depends on the grid alone (the
-interval counts, the market maps M, R, A_DA and A_ID, and the control
-instants' offsets within a settlement interval) is built once per frozen
-``Timescales`` and cached read-only; it is verification's own copy, never
-the dict that assembly extends.  The decay powers f**k of the state
-simulation are cached for the latest (f, N_C) only.
+A check does per signal only what the signal moves.  What depends on the
+grid alone (the interval counts, the market maps M, R, A_DA and A_ID, and
+the control instants' offsets within a settlement interval) is built once
+per frozen ``Timescales`` and cached read-only; it is verification's own
+copy, never the dict that assembly extends.  What depends on the
+reference breakpoints alone (the reference on the control grid, the
+slot-energy check and a held reference's state correction) is kept
+read-only for the latest reference: a fixed-reference policy builds it
+once for every signal and every gamma, while an adjustable policy's
+reference moves with the signal and builds it anew.  The decay powers
+f**k of the state simulation are cached for the latest (f, N_C) only.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +38,7 @@ from . import solvers
 from .dynamics import SystemParams, discretize, propagate
 from .market_time import SECONDS_PER_HOUR, IndexCounts, Timescales, derive_counts
 from .policy import AffinePolicy, PolicyStructure, mask_entries, realized_schedules
-from .reference_map import ReferenceProfile, reference_from_baseline
+from .reference_map import ReferenceProfile, energy_content, reference_from_baseline
 from .robust_lp import (EXPECTED_PROFIT, MAX_CAPACITY, ObjectiveSpec,
                         VariableLayout, build_market_matrices)
 
@@ -180,23 +186,28 @@ def simulate_state(
     params: SystemParams,
     ts: Timescales,
     p_grid: np.ndarray,
-    x0: float,
+    x0: float | Sequence[float],
 ) -> np.ndarray:
     """Integrate the storage state under a piecewise-linear power trajectory.
 
     ``p_grid`` holds the net power at every control instant (length
     N_C + 1).  The per-step update is exact for linear dynamics driven by
     piecewise-linear power and piecewise-constant baseload, so the only
-    error is floating point.  Returns the state at every control instant.
+    error is floating point.  Returns the state at every control instant,
+    or for a sequence of initial states one such row per state; the drive
+    does not depend on x0, so the step map runs once for all of them.
     """
     grid = _grid(ts)
     n_c = grid.counts.N_C
     if p_grid.shape != (n_c + 1,):
         raise ValueError(f"power grid has {p_grid.size} samples, expected {n_c + 1}")
     f, g, h1, h2 = discretize(params.a, params.b, params.c, ts.T_C / SECONDS_PER_HOUR)
+    starts = np.asarray(x0, dtype=float)
+    states = np.empty((starts.size, n_c + 1))
     # drive of step k: (g*u + h1*p_{k-1}) + h2*p_k, after a leading 0 so that
-    # the step map's zero-state response is the state at every instant itself
-    drive = np.empty(n_c + 1)
+    # the step map's zero-state response is the state at every instant
+    # itself; built in the first row of the states, which it leaves to them
+    drive = states[0]
     drive[0] = 0.0
     step = drive[1:]
     np.multiply(p_grid[:-1], h1, out=step)
@@ -204,9 +215,12 @@ def simulate_state(
     per_interval += np.multiply(params.u, g, dtype=float)[:, None]
     step += np.multiply(p_grid[1:], h2)
     x = propagate(f, drive)
-    # then the response to x0, formed in the drive's buffer
-    x += np.multiply(_decay_powers(f, n_c), x0, out=drive)
-    return x
+    # then add the response f**k * x0 of each initial state, in its own row
+    decay = _decay_powers(f, n_c)
+    for row, start in zip(states, starts.flat):
+        np.multiply(decay, start, out=row)
+        row += x
+    return states.reshape(starts.shape + x.shape)
 
 
 def _fine_reference(profile: ReferenceProfile, ts: Timescales) -> np.ndarray:
@@ -230,6 +244,48 @@ def _fine_reference(profile: ReferenceProfile, ts: Timescales) -> np.ndarray:
         rows[:, 0] = p[:-1]
     fine[-1] = p[-1]
     return fine
+
+
+@dataclass(frozen=True)
+class _ReferenceWork:
+    """What a check needs of the reference breakpoints alone; arrays read-only."""
+
+    fine: np.ndarray                # the reference at every control instant
+    energy_margin: float
+    x_corr: np.ndarray | None       # a held reference's state correction
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_work(p_ref: bytes, hold: bool, ts: Timescales,
+                    a: float, b: float, c: float) -> _ReferenceWork:
+    """The work of the breakpoints ``p_ref`` (float64 bytes) and their hold
+    flag, kept for the latest reference only.  Keyed on the exact bytes,
+    because -0.0 and 0.0 hash alike but need not round alike downstream.
+    """
+    profile = ReferenceProfile(p_ref=np.frombuffer(p_ref), piecewise_constant=hold)
+    fine = _fine_reference(profile, ts)
+
+    # a zero-order-hold reference holds each sample to the next instant
+    # while simulate_state interpolates between samples, so the exact
+    # reference response adds a filtered per-step drive difference
+    # h2*(p_k - p_{k+1}) on top (the activation part stays piecewise linear
+    # by the signal semantics)
+    x_corr = None
+    if hold:
+        f, _, _, h2 = discretize(a, b, c, ts.T_C / SECONDS_PER_HOUR)
+        drive = np.empty(fine.size)     # leading 0, as in simulate_state
+        drive[0] = 0.0
+        np.subtract(fine[:-1], fine[1:], out=drive[1:])
+        drive *= h2
+        x_corr = _read_only(propagate(f, drive))
+
+    # the reference delivered on the control grid must reproduce the
+    # profile's slot energies (the ramp window legitimately moves energy
+    # between slots relative to the traded positions, so compare against
+    # the profile's own content, not e_base)
+    delivered = _delivered_energy(fine, ts, _grid(ts).counts, rectangle=hold)
+    energy_margin = -float(np.max(np.abs(energy_content(profile, ts) - delivered)))
+    return _ReferenceWork(fine=_read_only(fine), energy_margin=energy_margin, x_corr=x_corr)
 
 
 def _bound_scale(*bounds: np.ndarray) -> float:
@@ -270,8 +326,9 @@ def check_feasibility(
 
     Slack is measured in natural units (kW, kW per step, kWh) and compared
     against ``tol`` times a per-check scale (the largest finite bound
-    magnitude, floored at 1).  Each distinct initial-state endpoint is
-    simulated once; reported margins are the worst over them.
+    magnitude, floored at 1); ``tol`` must be finite and >= 0.  Each
+    distinct initial-state endpoint is simulated; reported margins are the
+    worst over them.
     """
     grid = _grid(ts)
     counts, m = grid.counts, grid.m
@@ -279,6 +336,8 @@ def check_feasibility(
     if sig.T_C != ts.T_C:
         problems.append(f"signal is sampled every T_C = {sig.T_C} s, "
                         f"but the config's control grid is T_C = {ts.T_C} s")
+    if not 0.0 <= tol < np.inf:
+        problems.append(f"tol must be finite and >= 0, got {tol}")
     if not np.isfinite(policy.gamma):
         problems.append(f"gamma must be finite, got {policy.gamma}")
     elif policy.gamma < 0:
@@ -300,10 +359,11 @@ def check_feasibility(
     w_avg = average_signal(sig, ts)
     e_da, e_id = realized_schedules(policy, w_avg, grid.A_DA, grid.A_ID)
     profile = reference_from_baseline(grid.M @ e_da + e_id, grid.R, ts)
+    ref = _reference_work(profile.p_ref.tobytes(), profile.piecewise_constant, ts,
+                          params.a, params.b, params.c)
 
-    p_ref_fine = _fine_reference(profile, ts)
     p_target = np.multiply(policy.gamma, sig.values, dtype=float)
-    p_target += p_ref_fine
+    p_target += ref.fine
 
     scales = {
         "power": _bound_scale(params.p_hi, params.p_lo),
@@ -335,30 +395,22 @@ def check_feasibility(
     margins = {"power": float(min(np.min(params.p_hi - p_max), np.min(p_min - params.p_lo)))}
 
     # ramp per control step, measured in kW per step; an infinite limit
-    # leaves an infinite slack
-    dp_max, dp_min = extremes(np.diff(p_target), m)
-    margins["ramp"] = float(min(np.min(params.r_hi * ts.T_C - dp_max),
-                                np.min(dp_min - params.r_lo * ts.T_C)))
+    # leaves an infinite slack, so where every limit is infinite the steps
+    # need not be formed
+    if np.isposinf(params.r_hi).all() and np.isneginf(params.r_lo).all():
+        margins["ramp"] = np.inf
+    else:
+        dp_max, dp_min = extremes(np.diff(p_target), m)
+        margins["ramp"] = float(min(np.min(params.r_hi * ts.T_C - dp_max),
+                                    np.min(dp_min - params.r_lo * ts.T_C)))
 
-    # state band for each admissible initial state; a zero-order-hold
-    # reference holds each sample to the next instant while simulate_state
-    # interpolates between samples, so the exact reference response adds a
-    # filtered per-step drive difference h2*(p_k - p_{k+1}) on top (the
-    # activation part stays piecewise linear by the signal semantics)
-    x_corr = None
-    if profile.piecewise_constant:
-        f, _, _, h2 = discretize(params.a, params.b, params.c, ts.T_C / SECONDS_PER_HOUR)
-        drive = np.empty(counts.N_C + 1)    # leading 0, as in simulate_state
-        drive[0] = 0.0
-        np.subtract(p_ref_fine[:-1], p_ref_fine[1:], out=drive[1:])
-        drive *= h2
-        x_corr = propagate(f, drive)
-        del drive
+    # state band for each admissible initial state, with a held
+    # reference's correction on top
     margins["state"] = np.inf
-    for x0 in sorted({params.x0_min, params.x0_max}):
-        x = simulate_state(params, ts, p_target, x0)
-        if x_corr is not None:
-            x += x_corr
+    starts = sorted({params.x0_min, params.x0_max})
+    for x0, x in zip(starts, simulate_state(params, ts, p_target, starts)):
+        if ref.x_corr is not None:
+            x += ref.x_corr
         x_max, x_min = extremes(x, m + 1)
         up = float(np.min(params.x_hi - x_max))
         dn = float(np.min(x_min - params.x_lo))
@@ -375,12 +427,7 @@ def check_feasibility(
                 f"state limit violated from x0={x0:g} at t={worst * ts.T_C}s "
                 f"(x={x[worst]:.6f})")
 
-    # the reference delivered on the control grid must reproduce the
-    # profile's slot energies (the ramp window legitimately moves energy
-    # between slots relative to the traded positions, so compare against
-    # the profile's own content, not e_base)
-    delivered = _delivered_energy(p_ref_fine, ts, counts, rectangle=profile.piecewise_constant)
-    margins["energy"] = -float(np.max(np.abs(profile.e_ref - delivered)))
+    margins["energy"] = ref.energy_margin
 
     feasible = all(margins[k] >= -tol * scales[k] for k in margins)
     return VerificationReport(feasible=feasible, gamma=policy.gamma, tol=tol,

@@ -12,8 +12,9 @@ Proves:
      flagged as an information-structure violation.  A signal file on
      another control grid and an irregular square-wave period exit with
      the usage code; the default period works on a coarse grid.  A NaN
-     signal sample, a non-finite gamma in the policy file and a NaN
-     --gamma-scale exit with the usage code too.
+     signal sample, a non-finite gamma in the policy file, a NaN
+     --gamma-scale and a non-finite or negative --tol exit with the usage
+     code too.
   5. Config mistakes (missing key, bad unit, unknown key, duplicates,
      conflicting or non-finite initial state, a NaN model coefficient,
      baseload or limit, a non-finite price or activation statistic) exit
@@ -279,6 +280,21 @@ def test_verify_refuses_non_finite_inputs(tmp_path, capsys, case):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_refuses_a_tolerance_that_is_not_finite_and_non_negative(tmp_path, capsys,
+                                                                        tol):
+    # with --tol inf a policy at three times its capacity read "feasible"
+    policy_file = str(tmp_path / "battery.policy")
+    main(["solve", TWO_HOUR, "--no-refine-ramp", "--save-policy", policy_file])
+    capsys.readouterr()
+    code = main(["verify", TWO_HOUR, "--policy", policy_file, "--kind", "sustained",
+                 "--gamma-scale", "3", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "tol must be finite and >= 0" in captured.err
 
 
 def test_verify_default_period_on_coarse_grid(tmp_path, capsys):

@@ -12,7 +12,7 @@ Proves:
   4. Realizing trades under a concrete activation and mapping through
      (M, R) agrees with the materialized affine reference map.
   5. Policies serialize losslessly, and validate_against flags entries
-     outside the mask.
+     outside the mask and a negative or NaN gamma.
 """
 
 from __future__ import annotations
@@ -236,6 +236,14 @@ def test_negative_gamma_flagged():
     structure = PolicyStructure.build(counts, ts, n_da_lookback=0, n_id_lookback=0)
     bad = dataclasses.replace(zero_policy(counts), gamma=-0.5)
     assert any("gamma" in p for p in bad.validate_against(structure))
+
+
+def test_nan_gamma_flagged():
+    ts = ts_hours(2)
+    counts = derive_counts(ts)
+    structure = PolicyStructure.build(counts, ts, n_da_lookback=0, n_id_lookback=0)
+    bad = dataclasses.replace(zero_policy(counts), gamma=float("nan"))
+    assert any("gamma" in p and "NaN" in p for p in bad.validate_against(structure))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ Proves:
   3. Interval averaging of the piecewise-linear signal is exact for
      sustained and linear-in-time signals.
   4. Exact state integration matches an adaptive ODE solver for lossy and
-     lossless storage under random piecewise-linear power.
+     lossless storage under random piecewise-linear power, and several
+     initial states simulated together equal their single simulations bit
+     for bit.
   5. Solved policies pass certification under a battery of admissible
      signals, while the same policy with gamma inflated by 1% fails under
      sustained activation; the reports say which limit broke.  This holds
@@ -22,8 +24,9 @@ Proves:
      its end instant, where the plateau still holds.
   7. Signals survive a save/load round trip and malformed inputs are
      refused with specific messages, including a signal sampled on another
-     control grid, policy offsets q_DA, q_ID of the wrong length, and a
-     NaN sample or a non-finite gamma, offset or Q entry.
+     control grid, policy offsets q_DA, q_ID of the wrong length, a NaN
+     sample or a non-finite gamma, offset or Q entry, and a non-finite or
+     negative tolerance.
   8. Infinite state limits on one side leave the other side checked.
   9. A state violation is reported at the instant and state that the
      brute-force rule gives (first instant of smallest slack against the
@@ -37,7 +40,11 @@ Proves:
  12. The per-grid and decay caches change no report: checks interleaved
      across grids, lossy and lossless storage and single and uncertain
      initial states equal the same checks after the caches are cleared,
-     and every cached array is read-only.
+     and every cached array is read-only.  So does the memo of the latest
+     reference, on ramped, held, lossy held, finite-ramp and uncertain-x0
+     cases: the 1.01*gamma control hits it, a changed q_ID misses it, and
+     a check runs the step map once for both initial states (plus once
+     per miss for a held reference's correction).
  13. On small random lossy instances with a held reference and an
      uncertain initial state, the LP's certified capacity passes sustained
      and seeded random signals in the simulator, and 1.01 times it fails
@@ -75,6 +82,7 @@ from flexbid import (
 import flexbid
 from flexbid import verify_sim
 from flexbid.cli import load_problem
+from flexbid.dynamics import propagate
 from flexbid.reference_map import ReferenceProfile
 from flexbid.verify_sim import SIGNAL_KINDS, _fine_reference
 
@@ -265,6 +273,20 @@ def test_simulation_matches_adaptive_ode_solver(a):
                     rtol=1e-12, atol=1e-12, max_step=t_s_h)
     x = simulate_state(params, ts, p, 2.0)
     np.testing.assert_allclose(x, ode.y[0], rtol=1e-9, atol=1e-9)
+
+
+def test_several_initial_states_equal_their_single_simulations():
+    ts = swiss_2h(t_c=12)
+    counts = derive_counts(ts)
+    params = SystemParams.constant(counts.N_S, a=-0.3, b=1.1, c=0.9, u=0.4,
+                                   p_lo=-5, p_hi=5, x_lo=0, x_hi=15, x0_min=7, x0_max=8)
+    p = np.random.default_rng(5).uniform(-5, 5, counts.N_C + 1)
+    starts = [7.0, 8.0, -0.0]
+    states = simulate_state(params, ts, p, starts)
+    assert states.shape == (len(starts), counts.N_C + 1)
+    for row, x0 in zip(states, starts):
+        single = simulate_state(params, ts, p, x0)
+        assert np.array_equal(row.view(np.int64), single.view(np.int64))
 
 
 def test_simulation_rejects_wrong_grid_length():
@@ -508,6 +530,14 @@ def test_verification_refuses_malformed_inputs(solved_2h):
         check_feasibility(q_nan, gen_signal("zero", ts), params, ts)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, -1e-12])
+def test_tolerance_must_be_finite_and_non_negative(solved_2h, tol):
+    # an infinite tolerance would pass any violation, a NaN one none
+    ts, counts, params, sol = solved_2h
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        check_feasibility(sol.policy, gen_signal("sustained", ts), params, ts, tol=tol)
+
+
 @pytest.mark.parametrize("name", ["q_DA", "q_ID"])
 def test_offsets_of_the_wrong_length_are_refused(solved_2h, name):
     # a short q_DA would broadcast into another policy, a long q_ID would
@@ -650,11 +680,89 @@ def test_cached_maps_change_no_report(solved_2h):
 
     grid = verify_sim._grid(ts)
     arrays = [grid.offsets, verify_sim._decay_powers(1.0, counts.N_C)]
+    held = verify_sim._reference_work(np.linspace(-1.0, 1.0, counts.N_S + 1).tobytes(),
+                                      True, ts, -0.02, 1.0, 1.0)
+    arrays += [held.fine, held.x_corr]
     for mat in (grid.M, grid.R, grid.A_DA, grid.A_ID):
         arrays += [mat.data, mat.indices, mat.indptr]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+
+
+@pytest.fixture(scope="module")
+def memo_cases(solved_2h):
+    """(policy, params, ts) per reference kind: the fixed-reference 2 h
+    policy on its ramped reference, and a held one solved on T_RP = 0."""
+    ts, counts, params, sol = solved_2h
+    held_ts = swiss_2h(t_rp=0)
+    held_sol = solve(assemble(params, held_ts, PolicyStructure.build(counts, held_ts, 0, 1)))
+    assert held_sol.status == "optimal"
+    ramp = np.full(counts.N_S, 0.05)
+    return {
+        "ramped": (sol.policy, params, ts),
+        "held": (held_sol.policy, params, held_ts),
+        "lossy_held": (held_sol.policy, dataclasses.replace(params, a=-0.02), held_ts),
+        "finite_ramp": (sol.policy, dataclasses.replace(params, r_lo=-ramp, r_hi=ramp), ts),
+        "uncertain_x0": (sol.policy, dataclasses.replace(params, x0_min=7.0, x0_max=8.0), ts),
+    }
+
+
+MEMO_CASES = ["ramped", "held", "lossy_held", "finite_ramp", "uncertain_x0"]
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_reference_memo_changes_no_report(memo_cases, case):
+    policy, params, ts = memo_cases[case]
+    signals = [gen_signal("sustained", ts, level=-1.0), gen_signal("square_wave", ts),
+               gen_signal("uniform_random", ts, seed=3)]
+    verify_sim._reference_work.cache_clear()
+    check_feasibility(policy, signals[0], params, ts)
+    for sig in signals:
+        for gamma in (policy.gamma, 1.01 * policy.gamma):
+            scaled = dataclasses.replace(policy, gamma=gamma)
+            warm = report_key(check_feasibility(scaled, sig, params, ts))
+            verify_sim._reference_work.cache_clear()
+            assert report_key(check_feasibility(scaled, sig, params, ts)) == warm
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_reference_memo_hits_on_gamma_and_misses_on_offsets(memo_cases, case):
+    policy, params, ts = memo_cases[case]
+    sig = gen_signal("sustained", ts)
+    memo = verify_sim._reference_work
+    memo.cache_clear()
+    check_feasibility(policy, sig, params, ts)
+    control = dataclasses.replace(policy, gamma=1.01 * policy.gamma)
+    check_feasibility(control, sig, params, ts)
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 1)
+    q_id = policy.q_ID.copy()
+    q_id[0] += 0.01
+    check_feasibility(dataclasses.replace(policy, q_ID=q_id), sig, params, ts)
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 2)
+
+
+@pytest.mark.parametrize("case", ["uncertain_x0", "held"])
+def test_one_step_map_per_check(memo_cases, case, monkeypatch):
+    # both initial states share one pass over the drive; a held reference
+    # adds its correction's pass on each miss of the memo (this policy
+    # adjusts its intra-day trades, so its reference moves with the signal)
+    policy, params, ts = memo_cases[case]
+    params = dataclasses.replace(params, x0_min=7.0, x0_max=8.0)
+    calls = []
+
+    def counted(f, drive):
+        calls.append(f)
+        return propagate(f, drive)
+
+    monkeypatch.setattr(verify_sim, "propagate", counted)
+    verify_sim._reference_work.cache_clear()
+    signals = [gen_signal("sustained", ts), gen_signal("uniform_random", ts, seed=1),
+               gen_signal("square_wave", ts)]
+    for sig in signals:
+        check_feasibility(policy, sig, params, ts)
+    misses = verify_sim._reference_work.cache_info().misses if ts.T_RP == 0 else 0
+    assert len(calls) == len(signals) + misses
 
 
 # ---------------------------------------------------------------------------
