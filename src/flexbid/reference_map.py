@@ -20,7 +20,7 @@ integrated as zero-order holds of the left breakpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,17 +88,14 @@ class ReferenceProfile:
 
     p_ref: np.ndarray
     piecewise_constant: bool = False
-    e_ref: np.ndarray | None = field(default=None, compare=False)
 
 
 def reference_from_baseline(
     e_base: np.ndarray, R: sp.spmatrix, ts: Timescales
 ) -> ReferenceProfile:
-    """Apply R to slot energies and attach the realized energy content."""
+    """Apply R to slot energies."""
     p = np.asarray(R @ np.asarray(e_base, dtype=float)).ravel()
-    profile = ReferenceProfile(p_ref=p, piecewise_constant=(ts.T_RP == 0))
-    e_ref = energy_content(profile, ts)
-    return ReferenceProfile(p_ref=p, piecewise_constant=profile.piecewise_constant, e_ref=e_ref)
+    return ReferenceProfile(p_ref=p, piecewise_constant=(ts.T_RP == 0))
 
 
 def energy_content(profile: ReferenceProfile, ts: Timescales) -> np.ndarray:

@@ -894,6 +894,7 @@ def solve(prog: RobustProgram, *, refine_ramp: bool = False) -> Solution:
             stats["refined"] = True
             stats["worst_step_kw"] = float(res2.x[t_col])
             stats["iterations"] = stats["iterations"] + res2.iterations
+            stats["refine_iterations"] = res2.iterations
             stats["refine_wall_time"] = res2.wall_time
             stats["wall_time"] = stats["wall_time"] + res2.wall_time
         else:

@@ -1,4 +1,4 @@
-"""The LP solve: one call of HiGHS through ``scipy.optimize.linprog``.
+"""The LP solve: one direct call of the HiGHS solver bundled with scipy.
 
 :func:`solve_lp` consumes the canonical sparse form
 
@@ -9,6 +9,16 @@
 and returns a :class:`BackendResult` with a normalized status.  Callers
 look ``solve_lp`` up through this module, so a test or a tracer can put
 another function in its place.
+
+HiGHS runs its dual simplex without presolve, so it starts from the
+slack basis, where every policy column is zero and the reference flat.
+Where the first stage admits a flat reference, as on the shipped
+fixed-reference configs, the ramp refinement's optimum t = 0 is one pivot
+from that start; presolve rewrites the LP and loses it (the 7-day
+refinement took 3,414 iterations with presolve, 1 without).  The primal
+feasibility tolerance is 1e-9 rather than HiGHS's 1e-7: without presolve
+the state rows' residuals reach a few 1e-8 and add up along the state
+recursion, past the 1e-7 to which ``robust_lp.solve`` certifies a point.
 """
 
 from __future__ import annotations
@@ -18,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:
+    raise ImportError(
+        "flexbid needs scipy >= 1.15, whose scipy.optimize._highspy._core "
+        "exposes the bundled HiGHS solver") from exc
 
 #: normalized solver statuses
 OPTIMAL = "optimal"
@@ -48,26 +64,52 @@ class BackendResult:
     wall_time: float = 0.0
 
 
-_SCIPY_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+_MODEL_STATUS = {
+    _highs.HighsModelStatus.kOptimal: OPTIMAL,
+    _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
+_OPTIONS = {"presolve": "off", "primal_feasibility_tolerance": 1e-9, "output_flag": False}
 
 
 def solve_lp(data: LpData) -> BackendResult:
     started = time.perf_counter()
-    bounds = np.column_stack([data.lo, data.hi])
-    try:
-        res = linprog(data.c, A_ub=data.A, b_ub=data.rhs, bounds=bounds, method="highs")
-    except Exception as exc:  # malformed input, solver crash
-        return BackendResult(status=FAILED, message=str(exc))
+    A = sp.csc_matrix(data.A)
+    if not (np.isfinite(data.c).all() and np.isfinite(A.data).all()
+            and not np.isnan(np.concatenate([data.rhs, data.lo, data.hi])).any()):
+        return BackendResult(status=FAILED, message="non-finite LP data")
+    n_rows, n_cols = A.shape
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    lp.col_cost_ = data.c
+    lp.col_lower_ = data.lo
+    lp.col_upper_ = data.hi
+    lp.row_lower_ = np.full(n_rows, -np.inf)
+    lp.row_upper_ = data.rhs
+
+    highs = _highs._Highs()
+    for key, value in _OPTIONS.items():
+        highs.setOptionValue(key, value)
+    if (highs.passModel(lp) == _highs.HighsStatus.kError
+            or highs.run() == _highs.HighsStatus.kError):
+        return BackendResult(status=FAILED, message=highs.modelStatusToString(
+            highs.getModelStatus()))
     elapsed = time.perf_counter() - started
-    status = _SCIPY_STATUS.get(res.status, FAILED)
-    nit = int(np.sum(res.nit)) if res.nit is not None else 0
-    if status == OPTIMAL and res.x is None:
-        status = FAILED
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    status = _MODEL_STATUS.get(model_status, FAILED)
+    optimal = status == OPTIMAL
     return BackendResult(
         status=status,
-        x=np.asarray(res.x) if res.x is not None else None,
-        objective=float(res.fun) if res.fun is not None else None,
-        message=str(res.message),
-        iterations=nit,
+        x=np.array(highs.getSolution().col_value) if optimal else None,
+        objective=info.objective_function_value if optimal else None,
+        message=highs.modelStatusToString(model_status),
+        iterations=info.simplex_iteration_count,
         wall_time=elapsed,
     )

@@ -86,7 +86,6 @@ def test_two_slot_energy_content():
     profile = make_profile([1.0, 2.0], ts)
     # the ramp borrows 1/12 kWh from the later slot into the earlier one
     assert np.allclose(energy_content(profile, ts), [13.0 / 12.0, 23.0 / 12.0], atol=1e-15)
-    assert np.allclose(profile.e_ref, [13.0 / 12.0, 23.0 / 12.0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

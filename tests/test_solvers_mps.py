@@ -2,7 +2,8 @@
 
 Proves:
   1. solve_lp recovers hand-checked optima and classifies infeasible and
-     unbounded programs correctly.
+     unbounded programs correctly; non-finite data is a backend failure,
+     and a program both primal and dual infeasible is reported infeasible.
   2. MPS files round-trip the full LP payload (matrix, rhs, bounds,
      objective) at repr precision through HiGHS's own MPS reader, every
      row written as an L row, and both sides solve to the same optimum.
@@ -11,24 +12,26 @@ Proves:
      maximize-to-minimize negation.
   5. An adjustable program with epigraph columns, written to a file and
      solved from it, reaches the optimum of solve() on the program.
+  6. The ramp refinement of a fixed-reference day starts next to its
+     optimum: a handful of simplex iterations, not hundreds.
 """
 
 from __future__ import annotations
 
+import operator
 import pathlib
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize._highspy import _core as highs
 
 import flexbid
 from flexbid import SystemParams, Timescales, assemble, solve, write_mps
 from flexbid.cli import load_problem
 from flexbid.policy import PolicyStructure
 from flexbid.market_time import derive_counts
-from flexbid.solvers import INFEASIBLE, OPTIMAL, UNBOUNDED, LpData, solve_lp
-
-highs = pytest.importorskip("scipy.optimize._highspy._core")
+from flexbid.solvers import FAILED, INFEASIBLE, OPTIMAL, UNBOUNDED, LpData, solve_lp
 
 MIN = 60
 HOUR = 3600
@@ -71,6 +74,31 @@ def test_unbounded_detected():
         hi=np.array([np.inf]),
     )
     assert solve_lp(data).status == UNBOUNDED
+
+
+def test_primal_and_dual_infeasible_is_infeasible():
+    # x - y <= -1 and y - x <= -1 contradict each other, and the free
+    # columns make the dual infeasible too; without presolve HiGHS settles
+    # the status instead of reporting kUnboundedOrInfeasible
+    data = LpData(
+        c=np.array([-1.0, -1.0]),
+        A=sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]])),
+        rhs=np.array([-1.0, -1.0]),
+        lo=np.full(2, -np.inf),
+        hi=np.full(2, np.inf),
+    )
+    assert solve_lp(data).status == INFEASIBLE
+
+
+@pytest.mark.parametrize("field, index, value", [
+    ("c", 0, np.nan), ("c", 1, np.inf), ("A.data", 0, np.nan), ("rhs", 0, np.nan),
+    ("lo", 0, np.nan), ("hi", 1, np.nan),
+])
+def test_non_finite_data_is_a_backend_failure(field, index, value):
+    data = small_lp()
+    operator.attrgetter(field)(data)[index] = value
+    res = solve_lp(data)
+    assert res.status == FAILED and res.x is None
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +229,12 @@ def test_adjustable_export_solves_to_the_same_optimum(tmp_path):
     assert res.status == OPTIMAL
     # 12 significant digits in the file bound the agreement
     assert -res.objective == pytest.approx(solve(prog).objective, rel=1e-9)
+
+
+def test_fixed_reference_refinement_starts_at_its_optimum():
+    problem = load_problem(str(pathlib.Path(flexbid.__file__).parent
+                               / "configs" / "powerwall_1day.cfg"))
+    sol = solve(assemble(problem.params, problem.ts, problem.structure, problem.objective),
+                refine_ramp=True)
+    assert sol.stats["refined"] and sol.stats["certified"]
+    assert sol.stats["refine_iterations"] <= 10

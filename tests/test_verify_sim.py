@@ -58,6 +58,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -524,8 +525,8 @@ def test_verification_refuses_malformed_inputs(solved_2h):
         policy = dataclasses.replace(sol.policy, **{name: value})
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             check_feasibility(policy, gen_signal("zero", ts), params, ts)
-    q_nan = dataclasses.replace(sol.policy, Q_ID=sol.policy.Q_ID.copy())
-    q_nan.Q_ID[0, 0] = np.nan
+    q_nan = dataclasses.replace(sol.policy, Q_ID=sp.csr_matrix(
+        ([np.nan], ([0], [0])), shape=sol.policy.Q_ID.shape))
     with pytest.raises(ValueError, match="Q_ID must be finite"):
         check_feasibility(q_nan, gen_signal("zero", ts), params, ts)
 
