@@ -9,7 +9,8 @@ code.
 Exit codes: 0 solved/verified, 2 infeasible, 3 unbounded, 4 backend
 failure, 5 verification found a violation, 6 the solver's point breaks its
 own rows or bounds by more than the feasibility tolerance (reported with
-``certified: false``), 64 bad usage or config.
+``certified: false``), 64 bad usage or config, or a file that cannot be
+read or written.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import mps, robust_lp, solvers, verify_sim
+from . import robust_lp, solvers, verify_sim
 from .dynamics import SystemParams
 from .market_time import IndexCounts, Timescales, derive_counts
 from .policy import PolicyStructure, load_policy, save_policy
@@ -367,7 +368,7 @@ def cmd_export(args) -> int:
     problem = load_problem(args.config)
     prog = robust_lp.assemble(problem.params, problem.ts, problem.structure,
                               problem.objective)
-    mps.write_mps(prog, args.out)
+    solvers.write_mps(prog.as_lp_data(), args.out)
     print(f"wrote {prog.n_rows} rows, {prog.n_vars} columns to {args.out}")
     return EXIT_OK
 
@@ -490,9 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--json", action="store_true")
     p_suite.set_defaults(func=cmd_suite)
 
-    p_export = sub.add_parser("export", help="write the assembled program in MPS form")
+    p_export = sub.add_parser(
+        "export", help="write the minimize form of the assembled program as an MPS file")
     p_export.add_argument("config")
-    p_export.add_argument("--out", required=True)
+    p_export.add_argument("--out", required=True, metavar="FILE.mps")
     p_export.set_defaults(func=cmd_export)
 
     return parser
@@ -508,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=getattr(logging, args.log_level))
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,7 +32,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dtbtrs
 
 from .market_time import SECONDS_PER_HOUR, Timescales
@@ -225,28 +224,6 @@ class DiscreteDynamics:
     F: np.ndarray
 
 
-@dataclass(frozen=True)
-class StackedDynamics(DiscreteDynamics):
-    """Step coefficients plus the stacked horizon matrices.
-
-    With x = (x_1..x_N), u = (u_1..u_N), p = (p_0..p_N) breakpoints:
-
-        x = F*x0 + G @ u + H @ p + gamma * K @ v
-
-    K lower triangular with K[s, i] = f^{s-i}, G = g*K, and H combines h1
-    (weight of the interval's start breakpoint) with h2 (end breakpoint)
-    propagated by f.  When the reference holds its start value through each
-    interval instead of interpolating (``hold=True``), H carries h1 + h2 on
-    the start breakpoint alone, which is the exact response to a constant
-    drive.  These N^2-sized maps are the reference the step map is checked
-    against; the program itself never builds them.
-    """
-
-    G: sp.csr_matrix
-    H: sp.csr_matrix
-    K: sp.csr_matrix
-
-
 def _step_dynamics(a: float, b: float, c: float, t_step: float, n: int) -> DiscreteDynamics:
     f, g, h1, h2 = discretize(a, b, c, t_step)
     eps, e_hat = epsilon_bound(a, t_step)
@@ -254,46 +231,6 @@ def _step_dynamics(a: float, b: float, c: float, t_step: float, n: int) -> Discr
         f=f, g=g, h1=h1, h2=h2, eps=eps, e_a_tau_hat=e_hat,
         t_step=t_step, n=n, F=f ** np.arange(1, n + 1),
     )
-
-
-def build_state_matrices(
-    a: float, b: float, c: float, t_step: float, n: int, hold: bool = False
-) -> StackedDynamics:
-    """Stack the exact step map over ``n`` intervals (t_step in hours).
-
-    ``hold=True`` integrates the reference as a zero-order hold of each
-    interval's start breakpoint (the last breakpoint never enters a state).
-    """
-    dd = _step_dynamics(a, b, c, t_step, n)
-    powers = dd.f ** np.arange(n + 1)
-
-    # K[s, i] = f^(s-i) for 0 <= i <= s (0-based), shape (n, n), built in CSR
-    # directly: row s holds columns 0..s and starts at entry s(s+1)/2
-    ptr = np.arange(n + 1) * np.arange(1, n + 2) // 2
-    rows = np.repeat(np.arange(n), np.arange(1, n + 1))
-    cols = np.arange(ptr[-1]) - ptr[rows]
-    k_data = powers[rows - cols]
-    K = sp.csr_matrix((k_data, cols, ptr), shape=(n, n))
-    G = (dd.g * K).tocsr()
-
-    if hold:
-        # H[s, j] = f^(s-j)*(h1 + h2) for j <= s: constant drive per interval
-        H = sp.csr_matrix((k_data * (dd.h1 + dd.h2), cols, ptr), shape=(n, n + 1))
-    else:
-        # H[s, j]: breakpoint j of p enters state s+1 (0-based row s) with
-        # f^(s-j)*h1 for j <= s and f^(s+1-j)*h2 for 1 <= j <= s+1, so row s
-        # holds columns 0..s+1 and K's entry (s, j) lands on entry k + s
-        # (the h1 term of column j) and k + s + 1 (the h2 term of column j+1)
-        pos = np.arange(ptr[-1]) + rows
-        h_cols = np.empty(ptr[-1] + n, dtype=np.int64)
-        h_cols[pos] = cols
-        h_cols[pos + 1] = cols + 1
-        h_data = np.zeros(ptr[-1] + n)
-        h_data[pos] = k_data * dd.h1
-        h_data[pos + 1] += k_data * dd.h2
-        H = sp.csr_matrix((h_data, h_cols, ptr + np.arange(n + 1)), shape=(n, n + 1))
-
-    return StackedDynamics(**vars(dd), G=G, H=H, K=K)
 
 
 def discretize_scales(params: SystemParams, ts: Timescales, n_s: int) -> DiscreteDynamics:

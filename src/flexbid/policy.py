@@ -153,16 +153,6 @@ class AffinePolicy:
         return problems
 
 
-def zero_policy(counts: IndexCounts, gamma: float = 0.0) -> AffinePolicy:
-    return AffinePolicy(
-        Q_DA=sp.csr_matrix((counts.N_DA, counts.N_DA)),
-        q_DA=np.zeros(counts.N_DA),
-        Q_ID=sp.csr_matrix((counts.N_ID, counts.N_ID)),
-        q_ID=np.zeros(counts.N_ID),
-        gamma=gamma,
-    )
-
-
 def realized_schedules(
     pol: AffinePolicy, w_tilde: np.ndarray, A_DA: sp.spmatrix, A_ID: sp.spmatrix
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -239,6 +229,9 @@ def load_policy(path) -> tuple[AffinePolicy, dict]:
                 triples[section].append((int(r) - 1, int(c) - 1, float(v)))
             else:
                 vectors[section].append(float(line))
+    missing = [key for key in ("gamma", "shape_DA", "shape_ID") if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: policy file has no {' or '.join(missing)} line")
     n_da = int(meta.pop("shape_DA"))
     n_id = int(meta.pop("shape_ID"))
     gamma = float(meta.pop("gamma"))

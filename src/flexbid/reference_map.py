@@ -116,14 +116,3 @@ def energy_content(profile: ReferenceProfile, ts: Timescales) -> np.ndarray:
         return p[:-1].reshape(n_id, m).sum(axis=1) * t_s_h
     seg = 0.5 * (p[:-1] + p[1:]) * t_s_h
     return seg.reshape(n_id, m).sum(axis=1)
-
-
-def eval_reference(profile: ReferenceProfile, t: float, ts: Timescales) -> float:
-    """Reference power (kW) at time ``t`` seconds, 0 <= t <= T_H."""
-    p = profile.p_ref
-    n_s = p.size - 1
-    if not 0 <= t <= n_s * ts.T_S:
-        raise ValueError(f"t={t} outside [0, {n_s * ts.T_S}]")
-    if profile.piecewise_constant:
-        return float(p[min(int(t // ts.T_S), n_s)])
-    return float(np.interp(t, np.arange(n_s + 1) * ts.T_S, p))

@@ -10,6 +10,12 @@ and returns a :class:`BackendResult` with a normalized status.  Callers
 look ``solve_lp`` up through this module, so a test or a tracer can put
 another function in its place.
 
+:func:`write_mps` hands the same HiGHS model to HiGHS's own MPS writer:
+``L`` rows named ``r0``.., columns ``c0``.., the objective row ``Obj``,
+values at 15 significant digits.  A robust program's ``as_lp_data()`` is
+the minimize form of its maximization, so the file's optimum is the
+program's objective negated.
+
 HiGHS runs its dual simplex without presolve, so it starts from the
 slack basis, where every policy column is zero and the reference flat.
 Where the first stage admits a flat reference, as on the shipped
@@ -23,6 +29,7 @@ recursion, past the 1e-7 to which ``robust_lp.solve`` certifies a point.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -73,12 +80,16 @@ _MODEL_STATUS = {
 _OPTIONS = {"presolve": "off", "primal_feasibility_tolerance": 1e-9, "output_flag": False}
 
 
-def solve_lp(data: LpData) -> BackendResult:
-    started = time.perf_counter()
+def _highs_model(data: LpData) -> _highs._Highs:
+    """A HiGHS instance holding ``data`` as ``A @ x <= rhs``, options set.
+
+    Raises ``ValueError`` for non-finite costs or matrix entries, NaN row
+    or column bounds, and a model that HiGHS refuses.
+    """
     A = sp.csc_matrix(data.A)
     if not (np.isfinite(data.c).all() and np.isfinite(A.data).all()
             and not np.isnan(np.concatenate([data.rhs, data.lo, data.hi])).any()):
-        return BackendResult(status=FAILED, message="non-finite LP data")
+        raise ValueError("non-finite LP data")
     n_rows, n_cols = A.shape
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
@@ -96,8 +107,18 @@ def solve_lp(data: LpData) -> BackendResult:
     highs = _highs._Highs()
     for key, value in _OPTIONS.items():
         highs.setOptionValue(key, value)
-    if (highs.passModel(lp) == _highs.HighsStatus.kError
-            or highs.run() == _highs.HighsStatus.kError):
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise ValueError("HiGHS refused the LP data")
+    return highs
+
+
+def solve_lp(data: LpData) -> BackendResult:
+    started = time.perf_counter()
+    try:
+        highs = _highs_model(data)
+    except ValueError as exc:
+        return BackendResult(status=FAILED, message=str(exc))
+    if highs.run() == _highs.HighsStatus.kError:
         return BackendResult(status=FAILED, message=highs.modelStatusToString(
             highs.getModelStatus()))
     elapsed = time.perf_counter() - started
@@ -113,3 +134,17 @@ def solve_lp(data: LpData) -> BackendResult:
         iterations=info.simplex_iteration_count,
         wall_time=elapsed,
     )
+
+
+def write_mps(data: LpData, path) -> None:
+    """Write ``data`` to ``path`` with HiGHS's own MPS writer.
+
+    The file is the model :func:`solve_lp` solves.  HiGHS picks the format
+    from the file name, so ``path`` must end in ``.mps``.  Raises
+    ``OSError`` when HiGHS cannot write the file.
+    """
+    path = os.fspath(path)
+    if not path.endswith(".mps"):
+        raise ValueError(f"{path}: an MPS file name must end in .mps")
+    if _highs_model(data).writeModel(path) == _highs.HighsStatus.kError:
+        raise OSError(f"HiGHS could not write {path}")

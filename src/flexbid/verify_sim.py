@@ -27,22 +27,17 @@ f**k of the state simulation are cached for the latest (f, N_C) only.
 from __future__ import annotations
 
 import functools
-import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import solvers
 from .dynamics import SystemParams, discretize, propagate
 from .market_time import SECONDS_PER_HOUR, IndexCounts, Timescales, derive_counts
-from .policy import AffinePolicy, PolicyStructure, mask_entries, realized_schedules
+from .policy import AffinePolicy, realized_schedules
 from .reference_map import ReferenceProfile, energy_content, reference_from_baseline
-from .robust_lp import (EXPECTED_PROFIT, MAX_CAPACITY, ObjectiveSpec,
-                        VariableLayout, build_market_matrices)
-
-log = logging.getLogger(__name__)
+from .robust_lp import build_market_matrices
 
 SIGNAL_KINDS = ("zero", "sustained", "square_wave", "uniform_random", "clipped_random_walk")
 
@@ -176,9 +171,18 @@ def load_signal(path: str) -> ActivationSignal:
         header = fh.readline().strip()
         if header != "# flexbid signal v1":
             raise ValueError(f"{path}: not a signal file (header {header!r})")
-        t_c = int(fh.readline().split()[1])
-        n = int(fh.readline().split()[1])
-        values = np.array([float(fh.readline()) for _ in range(n)])
+
+        def read_int(key: str) -> int:
+            name, _, value = fh.readline().strip().partition(" ")
+            if name != key:
+                raise ValueError(f"{path}: signal file has no {key} line")
+            return int(value)
+
+        t_c = read_int("T_C")
+        n = read_int("samples")
+        values = np.array([float(line) for _, line in zip(range(n), fh)])
+    if values.size != n:
+        raise ValueError(f"{path}: signal file has {values.size} of its {n} samples")
     return ActivationSignal(values=values, T_C=t_c)
 
 
@@ -449,161 +453,3 @@ def _delivered_energy(
         seg *= 0.5
     per_slot = seg.reshape(counts.N_ID, -1).sum(axis=1)
     return per_slot * (ts.T_C / SECONDS_PER_HOUR)
-
-
-# ---------------------------------------------------------------------------
-# brute-force cross-check on small lossless instances
-
-
-def vertex_oracle(
-    params: SystemParams,
-    ts: Timescales,
-    structure: PolicyStructure,
-    objective: ObjectiveSpec | None = None,
-):
-    """Solve the bidding problem by enumerating activation vertices.
-
-    Valid for lossless storage (a = 0), where the activation carry-over is
-    linear in the averaged signal and every constraint is affine in it, so
-    feasibility against the box reduces to feasibility at its vertices.
-    Builds the constraints numerically per vertex with none of the robust
-    reformulation code.  Exponential in N_S; refuses more than 12
-    intervals.
-    """
-    if params.a != 0.0:
-        raise ValueError("vertex enumeration requires lossless storage (a = 0)")
-    counts = derive_counts(ts)
-    n_s = counts.N_S
-    if n_s > 12:
-        raise ValueError(f"N_S = {n_s} too large for vertex enumeration (max 12)")
-    objective = objective or ObjectiveSpec()
-    mats = build_market_matrices(ts, counts)
-    layout = VariableLayout(
-        qda_entries=mask_entries(structure.mask_DA),
-        qid_entries=mask_entries(structure.mask_ID),
-        n_da=counts.N_DA,
-        n_id=counts.N_ID,
-    )
-    n_pol = layout.n_policy
-    gcol = layout.gamma
-    t_h = ts.T_S / SECONDS_PER_HOUR
-    c = params.c
-
-    rm = mats["RM"].toarray()
-    r_full = mats["R"].toarray()
-    a_da = mats["A_DA"].toarray()
-    a_id = mats["A_ID"].toarray()
-
-    # state accumulation: trapezoid of the interpolated reference, or the
-    # left-held rectangle c*T*(p_0 + .. + p_{s-1}) when T_RP = 0
-    hold = ts.T_RP == 0
-    w_acc = np.zeros((n_s, n_s + 1))
-    for s in range(1, n_s + 1):
-        if hold:
-            w_acc[s - 1, :s] = 1.0
-        else:
-            w_acc[s - 1, 0] = 0.5
-            w_acc[s - 1, s] = 0.5
-            w_acc[s - 1, 1:s] = 1.0
-    w_acc *= c * t_h
-    u_cum = params.b * t_h * np.cumsum(params.u)
-
-    p_hi_pt = np.concatenate([[params.p_hi[0]],
-                              np.minimum(params.p_hi[:-1], params.p_hi[1:]),
-                              [params.p_hi[-1]]])
-    p_lo_pt = np.concatenate([[params.p_lo[0]],
-                              np.maximum(params.p_lo[:-1], params.p_lo[1:]),
-                              [params.p_lo[-1]]])
-    x_hi_pt = np.concatenate([np.minimum(params.x_hi[:-1], params.x_hi[1:]),
-                              [params.x_hi[-1]]])
-    x_lo_pt = np.concatenate([np.maximum(params.x_lo[:-1], params.x_lo[1:]),
-                              [params.x_lo[-1]]])
-    swing = 2.0 * ts.T_S / ts.T_C
-
-    rows_A, rhs_list = [], []
-
-    def add(mat, rhs):
-        """Rows ``mat @ x <= rhs``; infinite entries are dropped."""
-        keep = np.isfinite(rhs)
-        if keep.any():
-            rows_A.append(np.atleast_2d(mat)[keep])
-            rhs_list.append(rhs[keep])
-
-    for bits in range(2 ** n_s):
-        wv = np.array([1.0 if bits & (1 << i) else -1.0 for i in range(n_s)])
-        # breakpoint powers as rows over policy variables
-        b_mat = np.zeros((n_s + 1, n_pol))
-        if layout.n_qda:
-            wa = a_da @ wv
-            for v, (k, j) in enumerate(layout.qda_entries):
-                b_mat[:, v] += rm[:, k] * wa[j]
-        if layout.n_qid:
-            wi = a_id @ wv
-            for v, (k, j) in enumerate(layout.qid_entries):
-                b_mat[:, layout.n_qda + v] += r_full[:, k] * wi[j]
-        b_mat[:, layout.off_qda_vec:layout.off_qda_vec + counts.N_DA] = rm
-        b_mat[:, layout.off_qid_vec:layout.off_qid_vec + counts.N_ID] = r_full
-
-        gam = np.zeros(n_pol)
-        gam[gcol] = 1.0
-        add(b_mat + gam, p_hi_pt)
-        add(-(b_mat - gam), -p_lo_pt)
-
-        d_mat = b_mat[1:] - b_mat[:-1]
-        add(d_mat + swing * gam, params.r_hi * ts.T_S)
-        add(-(d_mat - swing * gam), -params.r_lo * ts.T_S)
-
-        # grid states: x0 + integral; activation adds c*T*cumsum(wv)*gamma
-        x_mat = w_acc @ b_mat
-        x_mat[:, gcol] += c * t_h * np.cumsum(wv)
-        add(x_mat, x_hi_pt - params.x0_max - u_cum)
-        add(-x_mat, -(x_lo_pt - params.x0_min - u_cum))
-
-        # intra-interval envelopes, zero-slope and full-slope branches
-        x_prev = np.vstack([np.zeros(n_pol), x_mat[:-1]])
-        const_prev_hi = np.concatenate([[params.x0_max], params.x0_max + u_cum[:-1]])
-        const_prev_lo = np.concatenate([[params.x0_min], params.x0_min + u_cum[:-1]])
-        for s in range(1, n_s + 1):
-            drive_lo = 0.5 * t_h * (params.b * params.u[s - 1])
-            # a held reference keeps the start breakpoint to the interval end
-            b_end = b_mat[s - 1] if hold else b_mat[s]
-            over_a = x_prev[s - 1] + 0.5 * t_h * c * (b_mat[s - 1] + gam)
-            add(over_a, np.array([params.x_hi[s - 1] - const_prev_hi[s - 1] - drive_lo]))
-            over_b = x_prev[s - 1] + 0.5 * t_h * c * (b_mat[s - 1] + b_end + 2 * gam)
-            add(over_b, np.array([params.x_hi[s - 1] - const_prev_hi[s - 1] - 2 * drive_lo]))
-            under_a = x_prev[s - 1] + 0.5 * t_h * c * (b_mat[s - 1] - gam)
-            add(-under_a, np.array([-(params.x_lo[s - 1] - const_prev_lo[s - 1] - drive_lo)]))
-            under_b = x_prev[s - 1] + 0.5 * t_h * c * (b_mat[s - 1] + b_end - 2 * gam)
-            add(-under_b,
-                np.array([-(params.x_lo[s - 1] - const_prev_lo[s - 1] - 2 * drive_lo)]))
-
-    A = sp.csr_matrix(np.vstack(rows_A))
-    rhs = np.concatenate(rhs_list)
-    lo = np.full(n_pol, -np.inf)
-    hi = np.full(n_pol, np.inf)
-    lo[gcol] = 0.0
-
-    obj = np.zeros(n_pol)
-    prices = objective.prices.resolved(counts)
-    if objective.kind == MAX_CAPACITY:
-        obj[gcol] = 1.0
-    elif objective.kind == EXPECTED_PROFIT:
-        t_id_h = ts.T_ID / SECONDS_PER_HOUR
-        obj[gcol] = prices.c_RES + float(
-            np.sum((prices.c_up * prices.rho_up + prices.c_dn * prices.rho_dn) * t_id_h))
-        obj[layout.off_qda_vec:layout.off_qda_vec + counts.N_DA] = -prices.c_DA
-        obj[layout.off_qid_vec:layout.off_qid_vec + counts.N_ID] = -prices.c_ID
-        if layout.n_qda:
-            ada_mu = a_da @ prices.mu
-            obj[:layout.n_qda] = -prices.c_DA[layout.qda_entries[:, 0]] \
-                * ada_mu[layout.qda_entries[:, 1]]
-        if layout.n_qid:
-            aid_mu = a_id @ prices.mu
-            obj[layout.n_qda:layout.n_q] = -prices.c_ID[layout.qid_entries[:, 0]] \
-                * aid_mu[layout.qid_entries[:, 1]]
-    else:
-        raise ValueError(f"unknown objective kind {objective.kind!r}")
-
-    res = solvers.solve_lp(solvers.LpData(c=-obj, A=A, rhs=rhs, lo=lo, hi=hi))
-    value = -res.objective if res.objective is not None else None
-    return res.status, value, res.x

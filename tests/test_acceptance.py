@@ -51,21 +51,19 @@ from flexbid import (
     Timescales,
     assemble,
     build_market_matrices,
-    build_state_matrices,
     check_feasibility,
     derive_counts,
     discretize,
     energy_content,
     epsilon_bound,
-    eval_reference,
     gen_signal,
     reference_affine_map,
     reference_from_baseline,
     required_ramp,
     solve,
-    vertex_oracle,
 )
 from flexbid.cli import load_problem
+from reference import build_state_matrices, eval_reference, vertex_oracle
 
 MIN = 60
 HOUR = 3600

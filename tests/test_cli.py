@@ -14,16 +14,21 @@ Proves:
      the usage code; the default period works on a coarse grid.  A NaN
      signal sample, a non-finite gamma in the policy file, a NaN
      --gamma-scale and a non-finite or negative --tol exit with the usage
-     code too.
+     code too, and so do a signal file that holds only its header or
+     fewer samples than it declares and a policy file without its
+     shape_DA line, each named in the error.
   5. Config mistakes (missing key, bad unit, unknown key, duplicates,
      conflicting or non-finite initial state, a NaN model coefficient,
      baseload or limit, a non-finite price or activation statistic) exit
      with the usage code and name the file and line; the library refuses
-     the same values.
+     the same values.  A file that cannot be read or written (a missing
+     policy or signal, a policy or export into a missing directory) exits
+     with the usage code and an error line, not a traceback.
   6. Infeasible and unbounded problems map to their own exit codes, and so
      does a solver point that breaks its own rows (not certified).
   7. suite solves every listed case in order; export writes an MPS file
-     with as many rows and columns as it reports.
+     with as many rows and columns as it reports, and refuses a file name
+     that does not end in .mps.
   8. Importing the package and its CLI loads none of scipy.signal,
      scipy.stats, scipy.interpolate and scipy.ndimage.
 """
@@ -440,6 +445,50 @@ def test_missing_config_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["verify_policy", "verify_signal", "save_policy", "export"])
+def test_unusable_file_paths_exit_with_the_usage_code(tmp_path, capsys, case):
+    missing = tmp_path / "missing"
+    policy_file = str(tmp_path / "battery.policy")
+    main(["solve", TWO_HOUR, "--no-refine-ramp", "--save-policy", policy_file])
+    capsys.readouterr()
+    args = {
+        "verify_policy": ["verify", TWO_HOUR, "--policy", str(missing / "battery.policy")],
+        "verify_signal": ["verify", TWO_HOUR, "--policy", policy_file,
+                          "--signal", str(missing / "walk.sig")],
+        "save_policy": ["solve", TWO_HOUR, "--no-refine-ramp",
+                        "--save-policy", str(missing / "battery.policy")],
+        "export": ["export", TWO_HOUR, "--out", str(missing / "battery.mps")],
+    }[case]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "error:" in captured.err and str(missing) in captured.err
+    assert "wrote" not in captured.out
+
+
+@pytest.mark.parametrize("case, field", [("header_only", "T_C"), ("short_signal", "samples"),
+                                         ("policy", "shape_DA")])
+def test_malformed_signal_and_policy_files_are_refused_by_name(tmp_path, capsys, case,
+                                                               field):
+    policy_file = tmp_path / "battery.policy"
+    main(["solve", TWO_HOUR, "--no-refine-ramp", "--save-policy", str(policy_file)])
+    capsys.readouterr()
+    args = ["verify", TWO_HOUR, "--policy", str(policy_file)]
+    if case != "policy":
+        bad = tmp_path / f"{case}.sig"
+        body = "T_C 1\nsamples 7201\n0.0\n0.5\n" if case == "short_signal" else ""
+        bad.write_text("# flexbid signal v1\n" + body)
+        args += ["--signal", str(bad)]
+    else:
+        bad = policy_file
+        bad.write_text(re.sub(r"^shape_DA = .*\n", "", bad.read_text(), flags=re.M))
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert str(bad) in captured.err and field in captured.err
+
+
 def test_usage_errors_from_argparse(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["--help"]) == EXIT_OK
@@ -552,6 +601,14 @@ def test_export_round_trips_dimensions(tmp_path, capsys):
     columns = text.split("\nCOLUMNS\n")[1].split("\nRHS\n")[0].splitlines()
     assert sum(line.split()[0] == "L" for line in rows) == n_rows
     assert len({line.split()[0] for line in columns}) == n_cols
+
+
+def test_export_needs_an_mps_file_name(tmp_path, capsys):
+    code = main(["export", TWO_HOUR, "--out", str(tmp_path / "battery.txt")])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "must end in .mps" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

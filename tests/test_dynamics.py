@@ -28,10 +28,11 @@ import pytest
 import scipy.integrate
 import scipy.sparse as sp
 
-from flexbid import SystemParams, build_state_matrices, discretize, epsilon_bound
+from flexbid import SystemParams, discretize, epsilon_bound
 from flexbid import dynamics
 from flexbid.dynamics import discretize_scales, propagate
 from flexbid import PolicyStructure, Timescales, assemble, derive_counts
+from reference import build_state_matrices
 
 mpmath.mp.dps = 50
 

@@ -35,9 +35,9 @@ from flexbid import (
     reference_from_baseline,
     load_policy,
     save_policy,
-    zero_policy,
 )
 from flexbid.policy import build_da_mask, build_id_mask, mask_entries
+from reference import zero_policy
 
 MIN = 60
 HOUR = 3600

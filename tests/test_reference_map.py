@@ -31,9 +31,9 @@ from flexbid import (
     build_R,
     derive_counts,
     energy_content,
-    eval_reference,
     reference_from_baseline,
 )
+from reference import eval_reference
 
 MIN = 60
 HOUR = 3600

@@ -75,18 +75,17 @@ from flexbid import (
     Timescales,
     assemble,
     build_market_matrices,
-    build_state_matrices,
     check_feasibility,
     derive_counts,
     gen_signal,
     reference_affine_map,
     required_ramp,
     solve,
-    vertex_oracle,
 )
 from flexbid import robust_lp, solvers
 from flexbid.cli import load_problem
 from flexbid.robust_lp import EXPECTED_PROFIT, MAX_CAPACITY, _slope_program
+from reference import build_state_matrices, vertex_oracle
 
 MIN = 60
 HOUR = 3600

@@ -4,15 +4,17 @@ Proves:
   1. solve_lp recovers hand-checked optima and classifies infeasible and
      unbounded programs correctly; non-finite data is a backend failure,
      and a program both primal and dual infeasible is reported infeasible.
-  2. MPS files round-trip the full LP payload (matrix, rhs, bounds,
-     objective) at repr precision through HiGHS's own MPS reader, every
-     row written as an L row, and both sides solve to the same optimum.
+  2. MPS files written by HiGHS's own writer round-trip the full LP
+     payload (matrix, rhs, bounds, objective) through HiGHS's MPS reader,
+     every row an L row, and both sides solve to the same optimum.
   3. Free/negative/bounded variables map to the right BOUNDS codes.
-  4. Assembled robust programs export with the documented
-     maximize-to-minimize negation.
+  4. A robust program's minimize form exports with its objective negated.
   5. An adjustable program with epigraph columns, written to a file and
-     solved from it, reaches the optimum of solve() on the program.
-  6. The ramp refinement of a fixed-reference day starts next to its
+     solved from it, reaches the optimum of solve() on the program to
+     1e-12 relative.
+  6. write_mps refuses a file name that does not end in .mps, and raises
+     when the file cannot be written.
+  7. The ramp refinement of a fixed-reference day starts next to its
      optimum: a handful of simplex iterations, not hundreds.
 """
 
@@ -123,13 +125,13 @@ def read_mps(path) -> LpData:
 def random_lp(rng, n_rows=14, n_cols=9) -> LpData:
     A = sp.random(n_rows, n_cols, density=0.4, random_state=np.random.RandomState(
         int(rng.integers(1 << 31))), format="csr")
-    A.data = np.round(A.data * 10 - 5, 6)
+    A.data = A.data * 10 - 5
     lo = np.where(rng.random(n_cols) < 0.3, -np.inf, rng.uniform(-3, 0, n_cols))
     hi = np.where(rng.random(n_cols) < 0.3, np.inf, rng.uniform(1, 8, n_cols))
     return LpData(
-        c=np.round(rng.normal(size=n_cols), 6),
+        c=rng.normal(size=n_cols),
         A=A,
-        rhs=np.round(rng.normal(scale=4, size=n_rows), 6),
+        rhs=rng.normal(scale=4, size=n_rows),
         lo=lo,
         hi=hi,
     )
@@ -142,17 +144,18 @@ def test_mps_round_trip_fields(tmp_path):
         path = tmp_path / f"case_{i}.mps"
         write_mps(data, str(path))
         back = read_mps(str(path))
-        assert np.allclose(back.c, data.c, rtol=1e-10, atol=1e-14)
-        assert np.allclose(back.A.toarray(), data.A.toarray(), rtol=1e-10, atol=1e-14)
+        # 15 significant digits carry every value to 5e-15 relative
+        assert np.allclose(back.c, data.c, rtol=1e-14, atol=0)
+        assert np.allclose(back.A.toarray(), data.A.toarray(), rtol=1e-14, atol=0)
         rows = path.read_text().split("ROWS\n")[1].split("COLUMNS\n")[0].splitlines()
         assert [line.split()[0] for line in rows] == ["N"] + ["L"] * data.rhs.size
-        assert np.allclose(back.rhs, data.rhs, rtol=1e-10, atol=1e-14)
+        assert np.allclose(back.rhs, data.rhs, rtol=1e-14, atol=0)
         assert np.array_equal(np.isinf(back.lo), np.isinf(data.lo))
         assert np.array_equal(np.isinf(back.hi), np.isinf(data.hi))
         finite = np.isfinite(data.lo)
-        assert np.allclose(back.lo[finite], data.lo[finite], rtol=1e-10)
+        assert np.allclose(back.lo[finite], data.lo[finite], rtol=1e-14, atol=0)
         finite = np.isfinite(data.hi)
-        assert np.allclose(back.hi[finite], data.hi[finite], rtol=1e-10)
+        assert np.allclose(back.hi[finite], data.hi[finite], rtol=1e-14, atol=0)
 
 
 def test_mps_round_trip_solves_identically(tmp_path):
@@ -208,9 +211,7 @@ def test_program_export_negates_objective(tmp_path):
     structure = PolicyStructure.build(counts, ts, 0, 0)
     prog = assemble(params, ts, structure)
     path = tmp_path / "program.mps"
-    write_mps(prog, str(path))
-    text = path.read_text().splitlines()
-    assert any(line.startswith("*") and "negated" in line for line in text)
+    write_mps(prog.as_lp_data(), str(path))
     res = solve_lp(read_mps(str(path)))
     assert res.status == OPTIMAL
     # minimizing the negated objective recovers the maximal reserve offer
@@ -224,11 +225,24 @@ def test_adjustable_export_solves_to_the_same_optimum(tmp_path):
     prog = assemble(problem.params, problem.ts, problem.structure, problem.objective)
     assert prog.n_vars > prog.state_columns.stop
     path = tmp_path / "lead1h.mps"
-    write_mps(prog, str(path))
+    write_mps(prog.as_lp_data(), str(path))
     res = solve_lp(read_mps(path))
     assert res.status == OPTIMAL
-    # 12 significant digits in the file bound the agreement
-    assert -res.objective == pytest.approx(solve(prog).objective, rel=1e-9)
+    # 15 significant digits in the file bound the agreement
+    assert -res.objective == pytest.approx(solve(prog).objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["small.lp", "small", "small.mps.txt"])
+def test_write_mps_needs_an_mps_file_name(tmp_path, name):
+    # HiGHS picks the format from the name and would write LP format for .lp
+    with pytest.raises(ValueError, match="must end in .mps"):
+        write_mps(small_lp(), tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_mps_raises_when_it_cannot_write(tmp_path):
+    with pytest.raises(OSError, match="could not write"):
+        write_mps(small_lp(), tmp_path / "missing" / "small.mps")
 
 
 def test_fixed_reference_refinement_starts_at_its_optimum():

@@ -77,8 +77,6 @@ from flexbid import (
     save_signal,
     simulate_state,
     solve,
-    vertex_oracle,
-    zero_policy,
 )
 import flexbid
 from flexbid import verify_sim
@@ -86,6 +84,7 @@ from flexbid.cli import load_problem
 from flexbid.dynamics import propagate
 from flexbid.reference_map import ReferenceProfile
 from flexbid.verify_sim import SIGNAL_KINDS, _fine_reference
+from reference import vertex_oracle, zero_policy
 
 MIN = 60
 HOUR = 3600
