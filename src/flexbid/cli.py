@@ -355,12 +355,12 @@ def cmd_solve(args) -> int:
     prog = robust_lp.assemble(problem.params, problem.ts, problem.structure,
                               problem.objective)
     sol = robust_lp.solve(prog, refine_ramp=not args.no_refine_ramp)
-    payload = _solution_payload(sol)
-    _print_solution(payload, args.json)
+    # write the policy first, so a file error prints no solution before it
     if sol.status == solvers.OPTIMAL and args.save_policy:
         save_policy(args.save_policy, sol.policy,
                     meta={"source_config": os.path.basename(args.config)})
         log.info("policy written to %s", args.save_policy)
+    _print_solution(_solution_payload(sol), args.json)
     return _exit_code(sol.status, sol.stats.get("certified"))
 
 

@@ -206,6 +206,20 @@ def save_policy(path, pol: AffinePolicy, meta: dict | None = None) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def parse_value(path, field: str, convert, text: str):
+    """``convert(text)``, or a ``ValueError`` that names the file and the field."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{path}: cannot parse {field} value {text.strip()!r}") from None
+
+
+def _triple(text: str) -> tuple[int, int, float]:
+    """A ``row col value`` line of a Q section, 0-based."""
+    r, c, v = text.split()
+    return int(r) - 1, int(c) - 1, float(v)
+
+
 def load_policy(path) -> tuple[AffinePolicy, dict]:
     meta: dict[str, str] = {}
     section = None
@@ -219,22 +233,21 @@ def load_policy(path) -> tuple[AffinePolicy, dict]:
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1]
                 if section not in ("Q_DA", "Q_ID", "q_DA", "q_ID"):
-                    raise ValueError(f"unknown policy section [{section}]")
+                    raise ValueError(f"{path}: unknown policy section [{section}]")
                 continue
             if section is None:
                 key, _, value = line.partition("=")
                 meta[key.strip()] = value.strip()
             elif section in triples:
-                r, c, v = line.split()
-                triples[section].append((int(r) - 1, int(c) - 1, float(v)))
+                triples[section].append(parse_value(path, section, _triple, line))
             else:
-                vectors[section].append(float(line))
+                vectors[section].append(parse_value(path, section, float, line))
     missing = [key for key in ("gamma", "shape_DA", "shape_ID") if key not in meta]
     if missing:
         raise ValueError(f"{path}: policy file has no {' or '.join(missing)} line")
-    n_da = int(meta.pop("shape_DA"))
-    n_id = int(meta.pop("shape_ID"))
-    gamma = float(meta.pop("gamma"))
+    n_da = parse_value(path, "shape_DA", int, meta.pop("shape_DA"))
+    n_id = parse_value(path, "shape_ID", int, meta.pop("shape_ID"))
+    gamma = parse_value(path, "gamma", float, meta.pop("gamma"))
 
     def to_csr(entries, n):
         if entries:
@@ -250,5 +263,5 @@ def load_policy(path) -> tuple[AffinePolicy, dict]:
         gamma=gamma,
     )
     if pol.q_DA.size != n_da or pol.q_ID.size != n_id:
-        raise ValueError("policy vectors do not match the declared shapes")
+        raise ValueError(f"{path}: policy vectors do not match the declared shapes")
     return pol, meta

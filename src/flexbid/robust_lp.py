@@ -397,9 +397,17 @@ class RobustProgram:
         )
 
     def as_lp_data(self) -> solvers.LpData:
-        """Minimization payload for the solver (objective negated)."""
+        """Minimization payload for the solver (objective negated).
+
+        The simplex starts with state z_s basic in place of the slack of row
+        ``dyn.hi[s]``.  That block of the basis is unit lower-bidiagonal, so
+        the start is nonsingular, and it is the slack basis's point: with the
+        policy columns at zero the dyn rows give z = 0.
+        """
         return solvers.LpData(c=-self.obj, A=self.A, rhs=self.rhs,
-                              lo=self.var_lo, hi=self.var_hi)
+                              lo=self.var_lo, hi=self.var_hi,
+                              basic_cols=np.asarray(self.state_columns),
+                              tight_rows=np.flatnonzero(self.row_kind == _KIND_CODE["dyn.hi"]))
 
 
 @dataclass

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .dynamics import SystemParams, discretize, propagate
 from .market_time import SECONDS_PER_HOUR, IndexCounts, Timescales, derive_counts
-from .policy import AffinePolicy, realized_schedules
+from .policy import AffinePolicy, parse_value, realized_schedules
 from .reference_map import ReferenceProfile, energy_content, reference_from_baseline
 from .robust_lp import build_market_matrices
 
@@ -176,11 +176,12 @@ def load_signal(path: str) -> ActivationSignal:
             name, _, value = fh.readline().strip().partition(" ")
             if name != key:
                 raise ValueError(f"{path}: signal file has no {key} line")
-            return int(value)
+            return parse_value(path, key, int, value)
 
         t_c = read_int("T_C")
         n = read_int("samples")
-        values = np.array([float(line) for _, line in zip(range(n), fh)])
+        values = np.array([parse_value(path, "samples", float, line)
+                           for _, line in zip(range(n), fh)])
     if values.size != n:
         raise ValueError(f"{path}: signal file has {values.size} of its {n} samples")
     return ActivationSignal(values=values, T_C=t_c)

@@ -16,14 +16,17 @@ Proves:
      --gamma-scale and a non-finite or negative --tol exit with the usage
      code too, and so do a signal file that holds only its header or
      fewer samples than it declares and a policy file without its
-     shape_DA line, each named in the error.
+     shape_DA line, each named in the error.  A malformed value in a
+     signal or policy file exits with the usage code and names the file
+     and the field.
   5. Config mistakes (missing key, bad unit, unknown key, duplicates,
      conflicting or non-finite initial state, a NaN model coefficient,
      baseload or limit, a non-finite price or activation statistic) exit
      with the usage code and name the file and line; the library refuses
      the same values.  A file that cannot be read or written (a missing
      policy or signal, a policy or export into a missing directory) exits
-     with the usage code and an error line, not a traceback.
+     with the usage code and an error line, not a traceback, and prints
+     nothing to stdout first.
   6. Infeasible and unbounded problems map to their own exit codes, and so
      does a solver point that breaks its own rows (not certified).
   7. suite solves every listed case in order; export writes an MPS file
@@ -463,7 +466,8 @@ def test_unusable_file_paths_exit_with_the_usage_code(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert "error:" in captured.err and str(missing) in captured.err
-    assert "wrote" not in captured.out
+    # nothing reaches stdout before the error, not even a solve's result
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("case, field", [("header_only", "T_C"), ("short_signal", "samples"),
@@ -487,6 +491,43 @@ def test_malformed_signal_and_policy_files_are_refused_by_name(tmp_path, capsys,
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert str(bad) in captured.err and field in captured.err
+
+
+@pytest.mark.parametrize("case, field, pattern, replacement", [
+    ("signal", "T_C", r"^T_C 1$", "T_C abc"),
+    ("signal", "samples", r"^samples 7201$", "samples 7201.0"),
+    ("signal", "samples", r"^0\.0$", "zero"),
+    ("policy", "gamma", r"^gamma = .*$", "gamma = wide"),
+    ("policy", "shape_DA", r"^shape_DA = .*$", "shape_DA = 2.5"),
+    ("policy", "shape_ID", r"^shape_ID = .*$", "shape_ID = x"),
+    ("policy", "Q_DA", r"^\[Q_DA\]$", "[Q_DA]\n1 x 0.5"),
+    ("policy", "Q_ID", r"^\[Q_ID\]$", "[Q_ID]\n1 2"),
+    ("policy", "q_DA", r"^\[q_DA\]$", "[q_DA]\nnought"),
+    ("policy", "q_ID", r"^\[q_ID\]\n.*$", "[q_ID]\n1..0"),
+], ids=["T_C", "samples_count", "sample", "gamma", "shape_DA", "shape_ID", "Q_DA", "Q_ID",
+        "q_DA", "q_ID"])
+def test_malformed_values_are_refused_by_name(tmp_path, capsys, case, field, pattern,
+                                              replacement):
+    from flexbid import gen_signal, save_signal
+
+    policy_file = tmp_path / "battery.policy"
+    main(["solve", TWO_HOUR, "--no-refine-ramp", "--save-policy", str(policy_file)])
+    capsys.readouterr()
+    args = ["verify", TWO_HOUR, "--policy", str(policy_file)]
+    if case == "signal":
+        bad = tmp_path / "walk.sig"
+        save_signal(gen_signal("zero", load_problem(TWO_HOUR).ts), str(bad))
+        args += ["--signal", str(bad)]
+    else:
+        bad = policy_file
+    text, count = re.subn(pattern, replacement, bad.read_text(), count=1, flags=re.M)
+    assert count == 1
+    bad.write_text(text)
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert f"{bad}: cannot parse {field} value" in captured.err
 
 
 def test_usage_errors_from_argparse(capsys):
